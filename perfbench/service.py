@@ -286,9 +286,9 @@ def open_loop(address, traffic: Traffic, ledger: Ledger = None):
 def latency_metrics(traffic: Traffic, checked):
     """``cold_ms``, ``warm_ms`` and ``warm_tail_ms`` of one pass."""
     warm, cold = [], []
-    for i, (latency, _late, ok) in enumerate(checked):
-        if ok:
-            (cold if traffic.requests[traffic.slots[i]][2] else warm).append(latency)
+    # wrong answers count as failures, not as missing latencies
+    for i, (latency, _late, _ok) in enumerate(checked):
+        (cold if traffic.requests[traffic.slots[i]][2] else warm).append(latency)
     return {
         "cold_ms": statistics.median(cold) * 1e3,
         "warm_ms": statistics.median(warm) * 1e3,
