@@ -23,6 +23,8 @@ from typing import Callable, Dict, Iterable, Iterator, List
 
 from repro.engine import ResultCache, Workload
 
+from hostclock import HostClock, scale
+
 #: Root of the checkout (the directory holding ``perfbench/`` and ``src/``).
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -237,16 +239,21 @@ def tail(values) -> float:
     return percentile(values, min(0.99, max(0.5, 1 - 10 / len(values))))
 
 
-def timed_setups(setup: Callable[[], object]):
+def timed_setups(setup: Callable[[], object], clock: HostClock):
     """Run ``setup`` :data:`SETUP_REPEATS` times; keep the last state.
 
-    Returns ``(state, median seconds)``.
+    Each set-up is timed between two samples of ``clock`` and scaled to
+    the nominal host speed. Returns ``(state, median scaled seconds)``.
     """
     walls = []
+    before = clock.sample()
     for _ in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         state = setup()
-        walls.append(time.perf_counter() - t0)
+        wall = time.perf_counter() - t0
+        after = clock.sample()
+        walls.append(wall * scale(before, after))
+        before = after
     return state, statistics.median(walls)
 
 

@@ -2,9 +2,10 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload census_small_queue --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload census_small_queue --seed 1 --seconds 30 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with tracing off;
+``--trace 0`` measures the end-to-end metrics with tracing off, scaled
+to a nominal host speed (see ``hostclock.py``);
 ``--trace 1`` runs a warm-up, an untraced baseline and a traced pass and
 reports the per-layer ledger. The metric names and units are those declared in
 ``BENCHMARK.json``. The last line of output is one JSON object with
@@ -30,6 +31,7 @@ try:
     import census
     import service
     from common import Ledger, git_rev, layer_metrics, midmean, scratch_dir, timed_setups
+    from hostclock import HostClock, scale
 except ImportError as exc:
     print(f"perfbench: cannot import the program from {ROOT}/src: {exc}", file=sys.stderr)
     sys.exit(2)
@@ -52,33 +54,42 @@ def subdir(tmp, name):
     return path
 
 
-def repeat_passes(seconds, one_pass):
+def repeat_passes(seconds, one_pass, clock):
     """Call ``one_pass(rep)`` until ``seconds`` have passed (at least once).
 
-    ``one_pass`` returns ``(per-pass metrics, attempted, failed)``.
-    Returns the list of per-pass metrics and the summed counts.
+    ``one_pass`` returns ``(per-pass metrics, attempted, failed)``; its
+    metrics are times. Each pass runs between two samples of ``clock``,
+    and its times are scaled to the nominal host speed. Returns the list
+    of scaled per-pass metrics, the summed counts and the clock samples.
     """
     per_pass, attempted, failed = [], 0, 0
+    samples = [clock.sample()]
     deadline = time.perf_counter() + seconds
     while not per_pass or time.perf_counter() < deadline:
         metrics, tried, wrong = one_pass(len(per_pass))
-        per_pass.append(metrics)
+        samples.append(clock.sample())
+        factor = scale(samples[-2], samples[-1])
+        per_pass.append({name: value * factor for name, value in metrics.items()})
         attempted += tried
         failed += wrong
-    return per_pass, attempted, failed
+    return per_pass, attempted, failed, samples
 
 
 def run_metrics(setup_s, per_pass):
     """A run's end-to-end metrics: each the midmean of its pass values.
 
-    The host's speed drifts by tens of percent over seconds, so the
-    median of a run's passes jumps between a fast and a slow level; the
-    mean of their middle half follows how long each level lasted.
+    The mean of the middle half of the passes ignores single outlier
+    passes, such as one whose reference samples caught a brief stall.
     """
     metrics = {"setup_s": setup_s}
     for name in per_pass[0]:
         metrics[name] = midmean(p[name] for p in per_pass)
     return metrics
+
+
+def run_notes(per_pass, samples, **extra):
+    """The ``run`` line's notes: pass count and the host's reference speed."""
+    return {"passes": len(per_pass), "reference_ms": midmean(samples) * 1e3, **extra}
 
 
 def as_batch(one_pass):
@@ -113,17 +124,19 @@ def untraced_baseline(one_pass):
 def census_workload(setup, untraced, traced):
     """Runner for a census workload (cold census, then a restart)."""
 
-    def run(seed, seconds, trace, tmp):
-        (workload, oracle), setup_s = timed_setups(lambda: setup(seed))
+    def run(seed, seconds, trace, tmp, clock):
+        (workload, oracle), setup_s = timed_setups(lambda: setup(seed), clock)
 
         def one_pass(rep):
             walls, runs = untraced(workload, subdir(tmp, f"pass{rep}"))
             return walls, len(runs), sum(r.result.rows != oracle for r in runs)
 
         if not trace:
-            per_pass, attempted, failed = repeat_passes(seconds, as_batch(one_pass))
+            per_pass, attempted, failed, samples = repeat_passes(
+                seconds, as_batch(one_pass), clock
+            )
             return Outcome(
-                run_metrics(setup_s, per_pass), attempted, failed, {"passes": len(per_pass)}
+                run_metrics(setup_s, per_pass), attempted, failed, run_notes(per_pass, samples)
             )
         walls, attempted, failed = untraced_baseline(one_pass)
         ledger = Ledger()
@@ -141,9 +154,9 @@ def census_workload(setup, untraced, traced):
     return run
 
 
-def campaign_workload(seed, seconds, trace, tmp):
+def campaign_workload(seed, seconds, trace, tmp, clock):
     """Runner for ``campaign_mixed`` (campaign + bundle, then full replay)."""
-    (spec, expected), setup_s = timed_setups(lambda: campaign.setup(seed))
+    (spec, expected), setup_s = timed_setups(lambda: campaign.setup(seed), clock)
     first = []
 
     def one_pass(rep):
@@ -156,9 +169,11 @@ def campaign_workload(seed, seconds, trace, tmp):
         return walls, len(results) + len(replays), wrong
 
     if not trace:
-        per_pass, attempted, failed = repeat_passes(seconds, as_batch(one_pass))
+        per_pass, attempted, failed, samples = repeat_passes(
+            seconds, as_batch(one_pass), clock
+        )
         return Outcome(
-            run_metrics(setup_s, per_pass), attempted, failed, {"passes": len(per_pass)}
+            run_metrics(setup_s, per_pass), attempted, failed, run_notes(per_pass, samples)
         )
     walls, attempted, failed = untraced_baseline(one_pass)
     ledger = Ledger()
@@ -172,9 +187,9 @@ def campaign_workload(seed, seconds, trace, tmp):
     )
 
 
-def service_workload(seed, seconds, trace, tmp):
+def service_workload(seed, seconds, trace, tmp, clock):
     """Runner for ``service_mixed`` (repeated open-loop passes)."""
-    traffic, setup_s = timed_setups(lambda: service.setup(seed))
+    traffic, setup_s = timed_setups(lambda: service.setup(seed), clock)
     checked, cpus = [], []
 
     def one_pass(_rep):
@@ -185,8 +200,8 @@ def service_workload(seed, seconds, trace, tmp):
         return service.latency_metrics(traffic, results), len(results), wrong
 
     if not trace:
-        per_pass, attempted, failed = repeat_passes(seconds, one_pass)
-        notes = {"passes": len(per_pass), "lateness_ms": service.lateness_ms(checked)}
+        per_pass, attempted, failed, samples = repeat_passes(seconds, one_pass, clock)
+        notes = run_notes(per_pass, samples, lateness_ms=service.lateness_ms(checked))
         return Outcome(run_metrics(setup_s, per_pass), attempted, failed, notes)
     _metrics, attempted, failed = untraced_baseline(one_pass)
     ledger = Ledger()
@@ -227,8 +242,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     units = declared_units(bool(args.trace))
-    with scratch_dir() as tmp:
-        outcome = WORKLOADS[args.workload](args.seed, args.seconds, bool(args.trace), tmp)
+    with scratch_dir() as tmp, HostClock() as clock:
+        outcome = WORKLOADS[args.workload](args.seed, args.seconds, bool(args.trace), tmp, clock)
     if set(outcome.metrics) != set(units):
         raise SystemExit(
             f"perfbench: metrics {sorted(set(outcome.metrics) ^ set(units))} "

@@ -79,7 +79,8 @@ class Traffic:
     the request sent at ``i / RATE`` seconds, by client ``i % CLIENTS``.
     Cold request ``k`` always takes slot ``COLD_EVERY * k + COLD_EVERY // 2``
     (alternating clients), so every run stalls on the same keys at the same
-    moments; the seed draws the warm requests.
+    moments; the seed orders the warm requests, each pool entry equally
+    often.
     """
 
     def __init__(self, seed: int) -> None:
@@ -90,8 +91,10 @@ class Traffic:
             (_body(cfg, mode), serial_report(cfg, mode), False)
             for cfg, mode in self.pool
         ] + [(_body(cfg, "decide"), serial_report(cfg, "decide"), True) for cfg in colds]
-        rng = random.Random(seed)
-        self.slots = [rng.randrange(len(self.pool)) for _ in range(total)]
+        # every pool entry equally often, in a seeded order: a seed-drawn
+        # mix of cheap and dear entries would shift the median by itself
+        self.slots = [i % len(self.pool) for i in range(total)]
+        random.Random(seed).shuffle(self.slots)
         for k in range(len(colds)):
             self.slots[COLD_EVERY * k + COLD_EVERY // 2 + k % CLIENTS] = len(self.pool) + k
 
