@@ -14,10 +14,10 @@ The acceptance gates of the distributed census subsystem
    workers vs 1 worker, identical shard plan. The measurement is
    written to ``BENCH_E27.json`` (:mod:`repro.reporting.bench`) on
    every run; the floor itself is only *asserted* when the host has at
-   least 4 CPUs (on a 1-core box the four processes time-slice one
-   core and no parallel speedup is physically available — recording
-   the honest number and skipping beats asserting fiction; the CI
-   runners have 4 vCPUs and enforce the floor).
+   least 4 CPUs. On fewer, the four processes time-slice the cores and
+   the speedup cannot be measured, so the artifact records the honest
+   number with ``"pass": null, "skipped": "<4 CPUs"`` (the CI runners
+   have 4 vCPUs and enforce the floor).
 3. **SIGKILL resilience** — one of two workers is killed -9 while it
    holds a lease mid-shard. Its lease expires, the surviving worker
    reclaims and recomputes the shard, and the merged census is still
@@ -60,14 +60,17 @@ BASE_SEED = 20260808
 
 
 def timed_workload() -> RandomGnpWorkload:
-    """Cold census workload: 48 seeded G(n, p) samples at n = 30..32.
+    """Cold census workload: 3,000 seeded G(n, p) samples at n = 30..32.
 
-    At this size classification costs ~100 ms per configuration, so a
-    shard is real work (process-spawn and queue overhead amortize) and
-    the serial run stays a few seconds.
+    Each configuration costs about 0.9 ms end to end on a 2-CPU x86-64
+    host (generation ~0.3 ms, keying, batch classification, cache), so
+    the serial run takes about 2.7 s and each of the 16 shards ~170 ms
+    of real work: process-spawn and queue overhead amortize, and a
+    worker holding a lease is still mid-shard when the SIGKILL gate
+    looks.
     """
     return RandomGnpWorkload(
-        [30, 31, 32], span=2, p=0.25, samples=16, seed=BASE_SEED
+        [30, 31, 32], span=2, p=0.25, samples=1000, seed=BASE_SEED
     )
 
 
@@ -144,6 +147,7 @@ def test_four_worker_speedup_at_least_2_5x(tmp_path, serial_run):
 
     speedup = timings["workers_1"] / timings["workers_4"]
     cpus = available_cpus()
+    decided = cpus >= WORKERS
     write_bench_result(
         BenchResult(
             experiment="E27",
@@ -155,13 +159,14 @@ def test_four_worker_speedup_at_least_2_5x(tmp_path, serial_run):
             timings_s=timings,
             speedup=speedup,
             floor=SPEEDUP_FLOOR,
-            passed=speedup >= SPEEDUP_FLOOR,
+            passed=speedup >= SPEEDUP_FLOOR if decided else None,
+            skipped=None if decided else f"<{WORKERS} CPUs",
         )
     )
     # equality is asserted on both timed runs regardless of host size
     for label in ("workers_1", "workers_4"):
         assert runs[label].result.rows == serial_run.result.rows, label
-    if cpus < WORKERS:
+    if not decided:
         pytest.skip(
             f"speedup floor needs >= {WORKERS} CPUs (host has {cpus}); "
             f"measured {speedup:.2f}x, recorded in BENCH_E27.json"

@@ -24,7 +24,8 @@ strategy zoo + :mod:`repro.campaigns` driver):
    ``BENCH_E28.json`` (:mod:`repro.reporting.bench`) on every run; the
    floor itself is only asserted when the host has at least 4 CPUs
    (the E27 precedent: on fewer cores there is no parallel speedup to
-   measure, and recording the honest number beats asserting fiction).
+   measure, so the artifact records the honest number with
+   ``"pass": null, "skipped": "<4 CPUs"``).
 """
 
 import time
@@ -198,6 +199,7 @@ def test_distributed_campaign_speedup_at_least_2_5x(tmp_path):
 
     speedup = t_serial / t_distributed
     cpus = available_cpus()
+    decided = cpus >= WORKERS
     write_bench_result(
         BenchResult(
             experiment="E28",
@@ -211,12 +213,13 @@ def test_distributed_campaign_speedup_at_least_2_5x(tmp_path):
             },
             speedup=speedup,
             floor=SPEEDUP_FLOOR,
-            passed=speedup >= SPEEDUP_FLOOR,
+            passed=speedup >= SPEEDUP_FLOOR if decided else None,
+            skipped=None if decided else f"<{WORKERS} CPUs",
         )
     )
     # bit-for-bit equality of all three paths, on any host
     assert run.results == serial
-    if cpus < WORKERS:
+    if not decided:
         pytest.skip(
             f"speedup floor needs >= {WORKERS} CPUs (host has {cpus}); "
             f"measured {speedup:.2f}x, recorded in BENCH_E28.json"

@@ -11,13 +11,10 @@ module provides:
   answers most negatives in near-linear time, canonical-form equality
   decides the rest exactly;
 * :func:`canonical_form` — a canonical representative key, equal for two
-  configurations iff they are isomorphic. The default
-  ``strategy="refinement"`` delegates to :mod:`repro.canon` (color
-  refinement + individualization search); ``strategy="bruteforce"``
-  keeps the original minimum-over-relabelings enumeration as an oracle.
-  Both return the identical ``(n, tag vector, edge set)`` tuple — the
-  E21 benchmark gates the agreement — and the tuple backs the census
-  engine's cache keys (:mod:`repro.engine.keys`);
+  configurations iff they are isomorphic, computed by :mod:`repro.canon`
+  (refinement + individualization search); the ``(n, tag vector, edge
+  set)`` tuple backs the census engine's cache keys
+  (:mod:`repro.engine.keys`);
 * :func:`dedupe` — collapse an iterable of configurations to isomorphism
   class representatives;
 * invariance checks used by the property tests: feasibility, the leader's
@@ -26,15 +23,9 @@ module provides:
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.configuration import Configuration
-
-#: The two canonical-form strategies: the refinement-based canonizer
-#: (:mod:`repro.canon`, the default) and the original brute-force
-#: enumeration kept as a correctness oracle.
-STRATEGIES = ("refinement", "bruteforce")
 
 
 def _signature(cfg: Configuration) -> Tuple:
@@ -90,109 +81,27 @@ def find_isomorphism(
     return {v: slot_to_b[slot] for v, slot in la.mapping.items()}
 
 
-def canonical_form(cfg: Configuration, *, strategy: str = "refinement") -> Tuple:
+def canonical_form(cfg: Configuration) -> Tuple:
     """Canonical key: equal for two configurations iff isomorphic.
 
-    The key is the lexicographic minimum, over all relabelings to
-    ``0..n−1`` compatible with the sorted ``(tag, degree)`` profile
-    layout, of ``(n, tag vector, edge set)`` for the normalized
-    configuration.
-
-    ``strategy`` selects how the minimum is found:
-
-    * ``"refinement"`` (default) — :mod:`repro.canon`'s
-      individualization–refinement search with bound and
-      automorphism-orbit pruning; near-linear on the workloads the
-      engine serves, memoized across calls.
-    * ``"bruteforce"`` — the original profile-pruned enumeration of
-      every compatible relabeling; worst-case exponential in the
-      largest profile class. Kept as the oracle the E21 benchmark and
-      the property tests compare against (n ≲ 10 territory).
-
-    Both strategies return the identical tuple.
+    The ``(n, tag vector, edge set)`` tuple of :mod:`repro.canon`'s
+    individualization–refinement search over the normalized
+    configuration — one particular relabeled copy of it, memoized
+    across calls. The brute-force enumeration that defined the key
+    before survives as the tests' isomorphism-class oracle,
+    :func:`repro.testing.bruteforce_canonical_form`.
     """
-    if strategy == "refinement":
-        from ..canon import canonical_form as refined_form
+    from ..canon import canonical_form as refined_form
 
-        return refined_form(cfg)
-    if strategy != "bruteforce":
-        raise ValueError(
-            f"unknown strategy {strategy!r} (choose {' or '.join(STRATEGIES)})"
-        )
-    return _bruteforce_canonical_form(cfg)
+    return refined_form(cfg)
 
 
-def _bruteforce_canonical_form(cfg: Configuration) -> Tuple:
-    """The original oracle: minimum over every profile-compatible
-    relabeling (exponential in the largest profile class)."""
-    cfg = cfg.normalize()
-    nodes = list(cfg.nodes)
-    n = len(nodes)
-    # group nodes by (tag, degree); only permutations respecting groups
-    # can yield the minimum, since the key starts with the sorted profile
-    profile = {v: (cfg.tag(v), cfg.degree(v)) for v in nodes}
-    groups: Dict[Tuple, List[object]] = {}
-    for v in nodes:
-        groups.setdefault(profile[v], []).append(v)
-    ordered_profiles = sorted(groups)
-    slots: List[Tuple] = []
-    for p in ordered_profiles:
-        slots.extend([p] * len(groups[p]))
-
-    best: Optional[Tuple] = None
-
-    def assignments() -> Iterator[Dict[object, int]]:
-        # positions for each profile group are contiguous in slot order
-        starts = {}
-        idx = 0
-        for p in ordered_profiles:
-            starts[p] = idx
-            idx += len(groups[p])
-        group_lists = [groups[p] for p in ordered_profiles]
-
-        def rec(gi: int, current: Dict[object, int]) -> Iterator[Dict[object, int]]:
-            if gi == len(group_lists):
-                yield dict(current)
-                return
-            members = group_lists[gi]
-            base = starts[ordered_profiles[gi]]
-            for perm in permutations(range(len(members))):
-                for v, off in zip(members, perm):
-                    current[v] = base + off
-                yield from rec(gi + 1, current)
-            for v in members:
-                current.pop(v, None)
-
-        yield from rec(0, {})
-
-    tagvec = tuple(p[0] for p in slots)
-    for mapping in assignments():
-        edges = tuple(
-            sorted(
-                (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                for u, v in cfg.edges
-            )
-        )
-        key = (n, tagvec, edges)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
-
-
-def dedupe(
-    configs: Iterable[Configuration], *, strategy: str = "refinement"
-) -> List[Configuration]:
-    """Representatives of each isomorphism class, in first-seen order.
-
-    ``strategy`` is forwarded to :func:`canonical_form`; both settings
-    produce identical representative lists (the keys are equal tuples),
-    differing only in how fast the keys are computed.
-    """
+def dedupe(configs: Iterable[Configuration]) -> List[Configuration]:
+    """Representatives of each isomorphism class, in first-seen order."""
     seen = set()
     out: List[Configuration] = []
     for cfg in configs:
-        key = canonical_form(cfg, strategy=strategy)
+        key = canonical_form(cfg)
         if key not in seen:
             seen.add(key)
             out.append(cfg)

@@ -1,28 +1,29 @@
-"""Refinement-based canonical labeling (the post-``n ≤ 10`` canonizer).
+"""Refinement-defined canonical labeling.
 
-``repro.canon`` replaces brute-force canonical-form enumeration — the
-worst-case-exponential step that forced the census engine to stop
-collapsing isomorphic duplicates above ``n = 10`` — with the classic
-canonization stack used by practical graph-canonization tools:
+``repro.canon`` decides tag-preserving isomorphism for every cache key,
+service coalescing decision and symmetry question in the repository,
+with the classic stack of practical graph-canonization tools:
 
-* :mod:`repro.canon.refine` — 1-WL color refinement over
-  ``(tag, degree)`` seeds: the coarsest equitable partition, computed in
-  near-linear time, with canonical (invariant) color ids;
+* :mod:`repro.canon.refine` — one splitter-driven refinement loop over
+  ordered partitions seeded by the tags: the coarsest equitable
+  partition, with invariant cell positions as colors;
 * :mod:`repro.canon.canonize` — individualization–refinement search
-  with bound and automorphism-orbit pruning, returning the exact same
-  ``(n, tags, edges)`` canonical tuple as the brute-force oracle, plus
-  generators of the tag-preserving automorphism group, behind a
+  with automorphism-orbit pruning, returning a ``(n, tags, edges)``
+  canonical tuple that is equal iff two configurations are isomorphic,
+  plus generators of the tag-preserving automorphism group, behind a
   configuration-equality memo;
 * :mod:`repro.canon.invariants` — the refinement certificate: a cheap
   invariant prefilter for isomorphism tests and a cache-key fallback.
 
 Consumers: :mod:`repro.analysis.isomorphism` (``canonical_form`` /
-``are_isomorphic`` / ``dedupe`` delegate here; the old enumeration
-survives as ``strategy="bruteforce"``), :mod:`repro.engine.keys`
-(``default_keyer`` now canonizes at every ``n``),
+``are_isomorphic`` / ``dedupe`` delegate here), :mod:`repro.engine.keys`
+(``default_keyer`` canonizes at every ``n``),
 :mod:`repro.analysis.automorphisms` and :mod:`repro.analysis.symmetry`
 (orbit structure from discovered generators), and through the keyer the
-batch service's request coalescing. Design notes: ``docs/canon.md``.
+batch service's request coalescing. The brute-force enumeration that
+used to define the form is the isomorphism-class oracle of the tests
+(:func:`repro.testing.bruteforce_canonical_form`). Design notes:
+``docs/canon.md``.
 
     >>> from repro.canon import canonical_form, canonize
     >>> from repro.core.configuration import line_configuration
@@ -43,15 +44,7 @@ from .canonize import (
     memo_info,
 )
 from .invariants import certificate, certificate_key, may_be_isomorphic
-from .refine import (
-    IndexedGraph,
-    equitable_partition,
-    index_graph,
-    refine_colors,
-    refinement_trace,
-    seed_colors,
-    stable_coloring,
-)
+from .refine import IndexedGraph, equitable_partition, index_graph
 
 __all__ = [
     "CanonicalLabeling",
@@ -66,8 +59,4 @@ __all__ = [
     "index_graph",
     "may_be_isomorphic",
     "memo_info",
-    "refine_colors",
-    "refinement_trace",
-    "seed_colors",
-    "stable_coloring",
 ]

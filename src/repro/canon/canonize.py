@@ -1,46 +1,42 @@
 """Individualization–refinement canonical labeling.
 
-This module computes, for a configuration, the exact same canonical
-form the brute-force path defines — the lexicographic minimum, over all
-relabelings to ``0..n−1`` that respect the sorted ``(tag, degree)``
-profile layout, of the ``(n, tag vector, edge set)`` tuple — but finds
-it by *search* instead of enumeration:
+This module computes a canonical form for a configuration the way
+nauty and Traces do (McKay & Piperno, "Practical graph isomorphism
+II", 2014):
 
-1. **Slot layout** — nodes are assigned to slots ``0..n−1`` whose
-   ``(tag, degree)`` profiles ascend, exactly like the brute force, so
-   the tag vector is fixed and only the edge set varies.
-2. **Individualization** — slots are filled one at a time (a
-   depth-first search over group-respecting assignments). Assigning
-   slot ``k`` fixes the adjacency bits ``(i, k)`` for all earlier
-   slots ``i``, so every search node knows a growing prefix of the
-   upper-triangular adjacency rows.
-3. **Bound pruning** — minimizing the sorted edge tuple is equivalent
-   to *maximizing* the row-major upper-triangle bitstring, and each
-   partially-known row has a tight optimistic completion (its remaining
-   neighbours packed into the earliest open columns). A branch whose
-   optimistic rows fall lexicographically below the incumbent can reach
-   no optimum and is cut. Candidate ordering (prefer nodes adjacent to
-   the earliest filled slots, refinement color as tie-break) makes the
-   first descent land a near-optimal incumbent, so the cut bites early.
-4. **Automorphism-orbit pruning** — two leaves with equal rows differ
-   by a tag-preserving automorphism; every tie discovered is recorded
-   as a generator. At each search node, candidates equivalent — under
-   discovered generators that fix the already-filled slots pointwise —
-   to an already-explored candidate are skipped: their subtrees are
-   mirror images. The recorded generators provably generate the full
-   tag-preserving automorphism group (every optimal leaf is either
-   visited or skipped because it is covered by the group discovered so
-   far), which :mod:`repro.analysis.automorphisms` reuses.
+1. **Refine** — the tag cells are refined to the coarsest equitable
+   ordered partition (:mod:`repro.canon.refine`). Cell positions are
+   invariant rank ids, so isomorphic inputs reach corresponding
+   partitions.
+2. **Leaf** — when the partition is discrete, position ``i`` holds one
+   node, and relabeling every node by its position gives a candidate
+   form ``(n, tag vector, edge set)``.
+3. **Individualize** — otherwise the search picks the first smallest
+   non-singleton cell, and for each node of it splits that node off as
+   a singleton, refines from the singleton alone, and recurses. The
+   tree of partitions this grows depends only on the isomorphism class
+   of the input, so its set of leaf forms does too; the canonical form
+   is the least leaf form.
+4. **Automorphism pruning** — two leaves with equal forms differ by a
+   tag-preserving automorphism, recorded as a generator. A child in the
+   same orbit as an explored sibling, under the discovered generators
+   that fix the individualized prefix pointwise, is skipped: its
+   subtree is the mirror image of the sibling's. A leaf that ties the
+   best leaf also maps the finished subtree holding the best leaf onto
+   its own, so the search jumps back to where the two paths part. Every
+   leaf whose form ties the minimum is thus either visited or covered
+   by the recorded generators, and the generators generate the full
+   tag-preserving automorphism group, which
+   :mod:`repro.analysis.automorphisms` reuses.
 
-Because the search space is exactly the brute force's candidate set and
-pruning only removes provably non-optimal or duplicate branches, the
-returned form is **bit-for-bit identical** to the brute-force oracle —
-the E21 benchmark gates this on an exhaustive small-``n`` sweep. The
-worst case remains exponential (canonical labeling is not known to be
-polynomial), but on the workloads this repo serves — random G(n, p)
-populations, the paper's path families, census-scale enumerations —
-the search visits near-linearly many nodes where the brute force
-enumerates products of factorials.
+The contract: two configurations get equal forms **iff** they are
+tag-preserving isomorphic (after normalization). The form is one
+particular relabeled copy of the configuration, so it carries no other
+meaning. When refinement alone is discrete — almost every random
+configuration — canonization is one refinement plus a relabeling. The
+worst case is still exponential (canonical labeling is not known to be
+polynomial); it takes inputs that are both highly regular and poor in
+automorphisms, which none of this repository's workloads are.
 
 A bounded memo keyed by configuration equality makes repeated
 canonization of the same (normalized) configuration O(n + m) after the
@@ -56,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.configuration import Configuration
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import registry as _registry
-from .refine import IndexedGraph, index_graph, refine_colors, seed_colors
+from .refine import IndexedGraph, OrderedPartition, equitable, index_graph
 
 #: Entries kept in the canonization memo (one per distinct normalized
 #: configuration seen); eviction is LRU.
@@ -67,12 +63,12 @@ MEMO_SIZE = 8192
 class CanonicalLabeling:
     """The result of canonizing one configuration.
 
-    ``form`` has the exact shape and value of
-    :func:`repro.analysis.isomorphism.canonical_form`; ``mapping`` sends
-    original node ids to canonical slots ``0..n−1``; ``generators`` are
-    tag-preserving automorphisms (original-id dicts) discovered by the
-    search, generating the full automorphism group. Treat all three as
-    read-only — instances are shared through the memo.
+    ``form`` is the canonical ``(n, tag vector, edge set)`` tuple (what
+    :func:`repro.analysis.isomorphism.canonical_form` returns);
+    ``mapping`` sends original node ids to canonical slots ``0..n−1``;
+    ``generators`` are tag-preserving automorphisms (original-id dicts)
+    discovered by the search, generating the full automorphism group.
+    Treat all three as read-only — instances are shared through the memo.
     """
 
     form: Tuple
@@ -92,86 +88,37 @@ class CanonicalLabeling:
         return not self.generators
 
 
-def _search(graph: IndexedGraph) -> Tuple[Tuple[int, ...], List[int], List[List[int]]]:
-    """Core branch-and-bound: maximal row-major adjacency rows.
+def _leaf_edges(graph: IndexedGraph, order: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """The sorted edge set after relabeling each node by its position."""
+    pos = [0] * graph.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    adj = graph.adj
+    return tuple(
+        (i, j)
+        for i, v in enumerate(order)
+        for j in sorted(pos[w] for w in adj[v])
+        if j > i
+    )
 
-    Returns ``(best_rows, best_assigned, generators)`` where
-    ``best_rows[i]`` is the integer encoding of canonical row ``i``
-    (bit ``n−1−j`` set iff slots ``i < j`` are adjacent),
-    ``best_assigned[i]`` is the graph index placed at slot ``i``, and
-    ``generators`` are index-level automorphism permutations.
+
+def _search(graph: IndexedGraph) -> Tuple[Tuple, List[int], List[List[int]]]:
+    """The individualization–refinement search.
+
+    Returns ``(edges, order, generators)``: the least leaf's edge set,
+    its node order (``order[i]`` is the index placed at slot ``i``), and
+    index-level automorphism permutations.
     """
     n = graph.n
-    profiles = [(graph.tags[v], len(graph.adj[v])) for v in range(n)]
-    ordered = sorted(set(profiles))
-    members: Dict[Tuple[int, int], List[int]] = {p: [] for p in ordered}
-    for v in range(n):
-        members[profiles[v]].append(v)
-    # group index owning each slot (groups are contiguous, ascending)
-    slot_group: List[List[int]] = []
-    for p in ordered:
-        slot_group.extend([members[p]] * len(members[p]))
-
-    # refinement colors break candidate-ordering ties toward the
-    # invariant structure (pure heuristic: correctness never depends on it)
-    colors, _ = refine_colors(graph, seed_colors(graph))
-
-    pos = [-1] * n  # vertex index -> slot, or -1
-    assigned: List[int] = []  # slot -> vertex index
-    rows = [0] * n  # per-slot adjacency-row ints (first len(assigned) live)
-    rem = [0] * n  # per-slot count of still-unassigned neighbours
-
-    best_rows: Optional[Tuple[int, ...]] = None
-    best_assigned: List[int] = []
+    adj = graph.adj
+    best_edges: Optional[Tuple] = None
+    best_order: List[int] = []
+    best_prefix: List[int] = []
     generators: List[List[int]] = []
+    prefix: List[int] = []
 
-    def place(v: int) -> None:
-        k = len(assigned)
-        bit = 1 << (n - 1 - k)
-        unplaced = 0
-        for u in graph.adj[v]:
-            i = pos[u]
-            if i >= 0:
-                rows[i] |= bit
-                rem[i] -= 1
-            else:
-                unplaced += 1
-        pos[v] = k
-        rem[k] = unplaced
-        rows[k] = 0
-        assigned.append(v)
-
-    def unplace() -> None:
-        v = assigned.pop()
-        k = len(assigned)
-        bit = 1 << (n - 1 - k)
-        for u in graph.adj[v]:
-            i = pos[u]
-            if 0 <= i < k:
-                rows[i] &= ~bit
-                rem[i] += 1
-        pos[v] = -1
-
-    def bounded_out() -> bool:
-        """True when no completion of the current prefix can reach the
-        incumbent (optimistic rows fall lexicographically below it)."""
-        if best_rows is None:
-            return False
-        k = len(assigned)
-        for i in range(k):
-            r = rem[i]
-            # pack row i's remaining neighbours into columns k..k+r-1
-            ub = rows[i] | (((1 << r) - 1) << (n - k - r)) if r else rows[i]
-            b = best_rows[i]
-            if ub < b:
-                return True
-            if ub > b:
-                return False
-        return False
-
-    def prefix_fixing_orbits() -> List[int]:
-        """Union-find over vertex indices, merging along discovered
-        generators that fix every filled slot pointwise."""
+    def orbit_roots() -> List[int]:
+        """Union-find roots under the generators fixing ``prefix``."""
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -181,83 +128,68 @@ def _search(graph: IndexedGraph) -> Tuple[Tuple[int, ...], List[int], List[List[
             return x
 
         for gen in generators:
-            if all(gen[v] == v for v in assigned):
+            if all(gen[v] == v for v in prefix):
                 for v in range(n):
                     ra, rb = find(v), find(gen[v])
                     if ra != rb:
                         parent[ra] = rb
         return [find(v) for v in range(n)]
 
-    def record_leaf() -> None:
-        nonlocal best_rows, best_assigned
-        leaf = tuple(rows)
-        if best_rows is None or leaf > best_rows:
-            best_rows = leaf
-            best_assigned = list(assigned)
-        elif leaf == best_rows:
-            # two optimal labelings differ by an automorphism:
-            # gamma(best_assigned[i]) = assigned[i]
-            gamma = [0] * n
-            for i in range(n):
-                gamma[best_assigned[i]] = assigned[i]
-            if any(gamma[v] != v for v in range(n)) and gamma not in generators:
+    def visit(part: OrderedPartition) -> int:
+        """Search below ``part``; return the depth the search resumes at."""
+        nonlocal best_edges, best_order, best_prefix
+        depth = len(prefix)
+        target = part.target_cell()
+        if target < 0:
+            edges = _leaf_edges(graph, part.order)
+            if best_edges is None or edges < best_edges:
+                best_edges, best_order, best_prefix = edges, part.order, list(prefix)
+                return depth
+            if edges == best_edges:
+                # equal forms: best_order[i] -> part.order[i] is an automorphism
+                gamma = [0] * n
+                for a, b in zip(best_order, part.order):
+                    gamma[a] = b
                 generators.append(gamma)
-
-    def rec() -> None:
-        k = len(assigned)
-        if k == n:
-            record_leaf()
-            return
-        if bounded_out():
-            return
-        candidates = [v for v in slot_group[k] if pos[v] < 0]
-        if len(candidates) > 1:
-            # prefer candidates wired to the earliest filled slots;
-            # refinement color, then index, break ties deterministically
-            def score(v: int) -> int:
-                s = 0
-                for u in graph.adj[v]:
-                    i = pos[u]
-                    if i >= 0:
-                        s |= 1 << (n - 1 - i)
-                return s
-
-            candidates.sort(key=lambda v: (-score(v), colors[v], v))
+                # it maps the finished subtree holding the best leaf onto
+                # this one, from where the two paths part: resume there
+                split = 0
+                while prefix[split] == best_prefix[split]:
+                    split += 1
+                return split
+            return depth
         tried: List[int] = []
         roots: List[int] = []
-        gen_version = -1  # recompute orbits only when generators grew
-        for v in candidates:
+        seen = -1  # recompute orbits only when generators grew
+        for v in sorted(part.order[target:part.end[target]]):
             if tried and generators:
-                if len(generators) != gen_version:
-                    roots = prefix_fixing_orbits()
-                    gen_version = len(generators)
+                if len(generators) != seen:
+                    roots = orbit_roots()
+                    seen = len(generators)
                 if any(roots[v] == roots[u] for u in tried):
                     continue  # mirror image of an explored subtree
             tried.append(v)
-            place(v)
-            rec()
-            unplace()
+            child = part.copy()
+            child.refine(adj, [child.individualize(v)])
+            prefix.append(v)
+            resume = visit(child)
+            prefix.pop()
+            if resume < depth:
+                return resume
+        return depth
 
-    rec()
-    assert best_rows is not None
-    return best_rows, best_assigned, generators
+    visit(equitable(graph))
+    assert best_edges is not None
+    return best_edges, best_order, generators
 
 
-def _assemble(graph: IndexedGraph, best_rows, best_assigned, gens) -> CanonicalLabeling:
+def _assemble(graph: IndexedGraph, edges, order, gens) -> CanonicalLabeling:
     n = graph.n
-    tagvec = tuple(graph.tags[best_assigned[i]] for i in range(n))
-    edges = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if best_rows[i] >> (n - 1 - j) & 1
-    )
-    mapping = {graph.nodes[best_assigned[i]]: i for i in range(n)}
-    generators = tuple(
-        {graph.nodes[v]: graph.nodes[g[v]] for v in range(n)} for g in gens
-    )
+    nodes = graph.nodes
     return CanonicalLabeling(
-        form=(n, tagvec, edges), mapping=mapping, generators=generators
+        form=(n, tuple(graph.tags[v] for v in order), edges),
+        mapping={nodes[v]: i for i, v in enumerate(order)},
+        generators=tuple({nodes[v]: nodes[g[v]] for v in range(n)} for g in gens),
     )
 
 
@@ -271,12 +203,10 @@ def _canonize_normalized(cfg: Configuration) -> CanonicalLabeling:
 def canonize(cfg: Configuration, *, use_memo: bool = True) -> CanonicalLabeling:
     """Canonize ``cfg``: canonical form, mapping, automorphism generators.
 
-    The returned form equals the brute-force
-    ``strategy="bruteforce"`` path of
-    :func:`repro.analysis.isomorphism.canonical_form` bit for bit. With
-    ``use_memo`` (the default) results are shared across calls for
-    equal normalized configurations — pass ``use_memo=False`` to time
-    the cold search (the E21 benchmark does).
+    Forms are equal for two configurations iff they are tag-preserving
+    isomorphic. With ``use_memo`` (the default) results are shared
+    across calls for equal normalized configurations — pass
+    ``use_memo=False`` to time the cold search (the E21 benchmark does).
     """
     normalized = cfg.normalize()
     if use_memo:
@@ -298,8 +228,7 @@ def canonize(cfg: Configuration, *, use_memo: bool = True) -> CanonicalLabeling:
 def canonical_form(cfg: Configuration) -> Tuple:
     """The canonical ``(n, tag vector, edge set)`` tuple of ``cfg``.
 
-    Equal for two configurations iff they are tag-preserving isomorphic;
-    identical in shape and value to the brute-force path it replaces.
+    Equal for two configurations iff they are tag-preserving isomorphic.
     """
     return canonize(cfg).form
 

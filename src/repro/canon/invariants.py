@@ -17,35 +17,34 @@ import hashlib
 from typing import Tuple
 
 from ..core.configuration import Configuration
-from .refine import index_graph, refinement_trace
+from .refine import equitable, index_graph
 
 
 def certificate(cfg: Configuration) -> Tuple:
     """Isomorphism-invariant certificate of ``cfg``.
 
-    The tuple carries the size, edge count, and the full 1-WL
-    refinement trace (:func:`repro.canon.refine.refinement_trace`) of
-    the normalized configuration: one sorted signature multiset per
-    refinement round. Isomorphic configurations always agree (every
-    round's multiset is built from invariant rank ids); configurations
-    with different certificates are provably non-isomorphic. Two
-    non-isomorphic configurations collide exactly when 1-WL cannot
-    separate them — the regular-ish territory where only the exact
-    canonizer decides.
+    The tuple carries the size, edge count, and the quotient of the
+    coarsest equitable partition refining the tags
+    (:meth:`repro.canon.refine.OrderedPartition.quotient`): per cell, in
+    cell order, its tag, size and neighbour counts into every cell.
+    Isomorphic configurations always agree (cell positions are invariant
+    rank ids); configurations with different certificates are provably
+    non-isomorphic. Two non-isomorphic configurations collide exactly
+    when 1-WL cannot separate them — the regular-ish territory where
+    only the exact canonizer decides.
     """
     graph = index_graph(cfg)
-    return (graph.n, graph.num_edges, refinement_trace(graph))
+    return (graph.n, graph.num_edges, equitable(graph).quotient(graph))
 
 
 def certificate_key(cfg: Configuration) -> str:
     """Short hex digest of :func:`certificate`.
 
-    A linear-ish-time cache-key *fallback*: strictly stronger than the
+    A near-linear cache-key *fallback*: strictly stronger than the
     engine's ``labeled_key`` at collapsing duplicates (relabelings and
     1-WL-equivalent isomorphs merge) while never conflating
     configurations the exact canonical key would separate beyond one
-    1-WL class. Useful when a workload is too adversarial for exact
-    canonization but duplicates should still mostly collapse.
+    1-WL class.
     """
     blob = repr(certificate(cfg))  # nested int tuples: repr is stable
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]

@@ -1,40 +1,45 @@
-"""1-WL color refinement over ``(tag, degree)`` seeds.
+"""Equitable refinement of ordered partitions: the one loop behind canon.
 
-The workhorse of the canonical-labeling subsystem: *color refinement*
-(the 1-dimensional Weisfeiler–Leman algorithm) starts from the
-isomorphism-invariant seed coloring ``(tag, degree)`` and repeatedly
-re-colors every node by the multiset of its neighbours' colors until the
-partition stabilizes. The result is the coarsest *equitable* partition
-refining the seeds: any two nodes in the same final cell have, for every
-cell ``D``, the same number of neighbours in ``D``.
+A configuration's nodes are kept as an **ordered partition**: a list of
+nodes by position, cut into *cells* of consecutive positions. A node's
+*color* is the start position of its cell. Refinement splits cells until
+the partition is *equitable* — any two nodes of one cell have, for every
+cell ``D``, the same number of neighbours in ``D`` — which is exactly
+what 1-WL color refinement computes.
 
-Two properties make this the right primitive here:
+The loop is splitter-driven (Hopcroft-style): a queue holds the cells
+whose neighbour counts may still split others. Processing a splitter
+counts every node's neighbours in it and splits each touched cell by
+count, fragments in ascending count order at the cell's own positions.
+A split cell that was already queued queues all its new fragments; one
+that was not queues all but its first largest fragment, since counts
+into the whole cell are already uniform. Every choice is made from
+positions and counts only, never node identities, so colors are
+**invariant rank ids**: isomorphic inputs refine to partitions that
+correspond position for position.
 
-* **Invariance** — color ids are assigned by the rank of each
-  signature among the round's sorted distinct signatures, so isomorphic
-  configurations get identical color vectors (up to the isomorphism).
-  That makes the final coloring a cheap certificate
-  (:mod:`repro.canon.invariants`) and a sound automorphism invariant:
-  no tag-preserving automorphism maps nodes of different stable colors
-  to each other.
-* **Cost** — each round is ``O(m log n)`` and there are at most ``n``
-  rounds; in practice the partition stabilizes in a handful.
+One loop serves three callers:
 
-Refinement alone does not canonize (regular-ish graphs keep coarse
-cells); :mod:`repro.canon.canonize` layers an individualization search
-on top.
+* :func:`equitable_partition` — refine from the tags to the coarsest
+  equitable partition;
+* :mod:`repro.canon.invariants` — the certificate is that partition's
+  quotient;
+* :mod:`repro.canon.canonize` — the individualization search starts
+  from the same partition, and after individualizing one node re-queues
+  only that node's singleton cell, so a search node costs the work its
+  split causes rather than a full re-refinement.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..core.compiled import IndexedConfiguration, compile_configuration
 from ..core.configuration import Configuration
 
 #: The compiled dense-index representation is shared with the classifier
 #: core (:mod:`repro.core.compiled`): one compilation step serves the
-#: classifier, the 1-WL refinement below, and the canonizer. The canon
+#: classifier, the refinement below, and the canonizer. The canon
 #: subsystem's historical names remain the public aliases here.
 IndexedGraph = IndexedConfiguration
 
@@ -43,98 +48,161 @@ IndexedGraph = IndexedConfiguration
 index_graph = compile_configuration
 
 
-def seed_colors(graph: IndexedGraph) -> List[int]:
-    """Initial invariant coloring: the rank of ``(tag, degree)`` among
-    the sorted distinct profiles (ascending, matching the brute-force
-    canonical form's slot ordering)."""
-    profiles = [(graph.tags[v], len(graph.adj[v])) for v in range(graph.n)]
-    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-    return [rank[p] for p in profiles]
+class OrderedPartition:
+    """An ordered partition of the node indices ``0..n-1``.
 
-
-def refine_colors(
-    graph: IndexedGraph, colors: List[int]
-) -> Tuple[List[int], int]:
-    """Run 1-WL refinement from ``colors`` to the stable partition.
-
-    Returns ``(stable_colors, rounds)``. Color ids stay canonical: each
-    round assigns new ids by the rank of ``(old color, sorted neighbour
-    color multiset)`` among the round's sorted distinct signatures, so
-    the output depends only on the isomorphism class of the seeded
-    graph — never on node identities.
+    ``order`` lists node indices by position; a cell is a run
+    ``order[s:end[s]]`` starting at position ``s``; ``cell[v]`` is the
+    start of ``v``'s cell (its color). ``end`` is only meaningful at cell
+    starts. Instances are mutable; :meth:`copy` before branching.
     """
-    colors = list(colors)
-    rounds = 0
-    num_colors = len(set(colors))
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in graph.adj[v])))
-            for v in range(graph.n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        new_colors = [rank[s] for s in signatures]
-        new_num = len(rank)
-        if new_num == num_colors:
-            # refinement only ever splits cells; an unchanged count
-            # means an unchanged partition (ids may be renumbered, but
-            # rank order preserves the cell structure)
-            return new_colors, rounds
-        colors, num_colors = new_colors, new_num
-        rounds += 1
+
+    __slots__ = ("order", "cell", "end")
+
+    def __init__(self, order: List[int], cell: List[int], end: List[int]) -> None:
+        self.order = order
+        self.cell = cell
+        self.end = end
+
+    @classmethod
+    def by_tags(cls, graph: IndexedGraph) -> "OrderedPartition":
+        """One cell per tag value, cells in ascending tag order."""
+        n = graph.n
+        tags = graph.tags
+        order = sorted(range(n), key=tags.__getitem__)
+        cell = [0] * n
+        end = [0] * n
+        s = 0
+        for i in range(1, n + 1):
+            if i == n or tags[order[i]] != tags[order[s]]:
+                end[s] = i
+                for v in order[s:i]:
+                    cell[v] = s
+                s = i
+        return cls(order, cell, end)
+
+    def copy(self) -> "OrderedPartition":
+        """An independent copy (the search branches on copies)."""
+        return OrderedPartition(list(self.order), list(self.cell), list(self.end))
+
+    def starts(self) -> Iterator[int]:
+        """Cell start positions, in order."""
+        s, n, end = 0, len(self.order), self.end
+        while s < n:
+            yield s
+            s = end[s]
+
+    def target_cell(self) -> int:
+        """Start of the first smallest non-singleton cell; ``-1`` when
+        the partition is discrete."""
+        best, size = -1, len(self.order) + 1
+        for s in self.starts():
+            k = self.end[s] - s
+            if 1 < k < size:
+                best, size = s, k
+                if k == 2:
+                    break
+        return best
+
+    def individualize(self, v: int) -> int:
+        """Split ``v`` off the front of its cell; return its new
+        singleton cell's start (the only splitter refinement needs)."""
+        order, cell, end = self.order, self.cell, self.end
+        s = cell[v]
+        e = end[s]
+        i = order.index(v, s, e)
+        order[i] = order[s]
+        order[s] = v
+        for w in order[s + 1:e]:
+            cell[w] = s + 1
+        end[s] = s + 1
+        end[s + 1] = e
+        return s
+
+    def refine(self, adj, queue: List[int]) -> None:
+        """Split cells until the partition is equitable.
+
+        ``queue`` lists the start positions of the cells to split with;
+        the caller guarantees the partition is already equitable with
+        respect to every other cell (at the root: queue every cell).
+        """
+        order, cell, end = self.order, self.cell, self.end
+        queued = set(queue)
+        head = 0
+        while head < len(queue):
+            splitter = queue[head]
+            head += 1
+            queued.discard(splitter)
+            counts: Dict[int, int] = {}
+            for u in order[splitter:end[splitter]]:
+                for w in adj[u]:
+                    counts[w] = counts.get(w, 0) + 1
+            for s in sorted({cell[w] for w in counts}):
+                e = end[s]
+                if e - s == 1:
+                    continue
+                groups: Dict[int, List[int]] = {}
+                for v in order[s:e]:
+                    groups.setdefault(counts.get(v, 0), []).append(v)
+                if len(groups) == 1:
+                    continue
+                fragments = []
+                pos = s
+                for k in sorted(groups):
+                    members = groups[k]
+                    order[pos:pos + len(members)] = members
+                    for v in members:
+                        cell[v] = pos
+                    end[pos] = pos + len(members)
+                    fragments.append(pos)
+                    pos += len(members)
+                if s in queued:
+                    fresh = fragments[1:]
+                else:
+                    largest = max(fragments, key=lambda f: (end[f] - f, -f))
+                    fresh = [f for f in fragments if f != largest]
+                queue.extend(fresh)
+                queued.update(fresh)
+
+    def quotient(self, graph: IndexedGraph) -> Tuple:
+        """Per cell, in order: ``(tag, size, ((cell, neighbours), ...))``.
+
+        On an equitable partition the neighbour counts of any one member
+        hold for the whole cell, so this is the quotient matrix — equal
+        for two graphs iff their tag-seeded 1-WL refinements agree.
+        """
+        out = []
+        for s in self.starts():
+            v = self.order[s]
+            counts: Dict[int, int] = {}
+            for w in graph.adj[v]:
+                c = self.cell[w]
+                counts[c] = counts.get(c, 0) + 1
+            out.append((graph.tags[v], self.end[s] - s, tuple(sorted(counts.items()))))
+        return tuple(out)
 
 
-def refinement_trace(graph: IndexedGraph) -> Tuple:
-    """The full 1-WL trace: one sorted signature multiset per round.
-
-    Round 0 records the sorted ``(tag, degree)`` profile multiset; each
-    later round records the sorted multiset of ``(color, neighbour
-    color multiset)`` signatures (colors being the previous round's
-    invariant rank ids). The trace is isomorphism-invariant, and it
-    retains the *structure* of every round — unlike the final color
-    ids alone, whose ranks can coincide numerically for graphs whose
-    refinement histories differ. This is what makes it a sound and
-    usefully sharp certificate (:mod:`repro.canon.invariants`).
-    """
-    colors = seed_colors(graph)
-    trace: List[Tuple] = [
-        tuple(
-            sorted((graph.tags[v], len(graph.adj[v])) for v in range(graph.n))
-        )
-    ]
-    num_colors = len(set(colors))
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in graph.adj[v])))
-            for v in range(graph.n)
-        ]
-        trace.append(tuple(sorted(signatures)))
-        rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        colors = [rank[s] for s in signatures]
-        if len(rank) == num_colors:
-            return tuple(trace)
-        num_colors = len(rank)
-
-
-def stable_coloring(cfg: Configuration) -> Tuple[IndexedGraph, List[int]]:
-    """Index ``cfg`` and refine its seed coloring to stability."""
-    graph = index_graph(cfg)
-    colors, _ = refine_colors(graph, seed_colors(graph))
-    return graph, colors
+def equitable(graph: IndexedGraph) -> OrderedPartition:
+    """The coarsest equitable partition refining the tag cells."""
+    part = OrderedPartition.by_tags(graph)
+    part.refine(graph.adj, list(part.starts()))
+    return part
 
 
 def equitable_partition(cfg: Configuration) -> List[List[object]]:
-    """The coarsest equitable partition refining ``(tag, degree)``.
+    """The coarsest equitable partition refining the tags.
 
-    Cells are returned as sorted lists of *original* node ids, ordered
-    by their (canonical) stable color — so two isomorphic
-    configurations produce cell structures that correspond under any
-    isomorphism. Nodes in one cell are exactly the nodes 1-WL cannot
-    tell apart; every tag-preserving automorphism orbit is contained in
-    some cell (the converse fails for regular-ish graphs, which is why
-    canonization still needs a search).
+    Cells are returned as sorted lists of *original* node ids, in cell
+    order — so two isomorphic configurations produce cell structures
+    that correspond under any isomorphism. Nodes in one cell are exactly
+    the nodes 1-WL cannot tell apart (equitability forces equal degrees,
+    so the cells also refine ``(tag, degree)``); every tag-preserving
+    automorphism orbit lies inside one cell (the converse fails for
+    regular-ish graphs, which is why canonization still needs a search).
     """
-    graph, colors = stable_coloring(cfg)
-    cells: Dict[int, List[object]] = {}
-    for v in range(graph.n):
-        cells.setdefault(colors[v], []).append(graph.nodes[v])
-    return [sorted(cells[c]) for c in sorted(cells)]
+    graph = index_graph(cfg)
+    part = equitable(graph)
+    return [
+        sorted(graph.nodes[v] for v in part.order[s:part.end[s]])
+        for s in part.starts()
+    ]

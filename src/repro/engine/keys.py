@@ -11,19 +11,19 @@ exactly once.
 Three keyers are provided:
 
 * :func:`canonical_key` — a digest of
-  :func:`repro.analysis.isomorphism.canonical_form`; equal for two
-  configurations iff they are tag-preserving isomorphic (after
+  :func:`repro.analysis.isomorphism.canonical_form` under the
+  :data:`KEY_SCHEME` prefix; equal for two configurations iff they are
+  tag-preserving isomorphic (after
   :meth:`~repro.core.configuration.Configuration.normalize`). This is
-  the engine default at **every** size: the refinement-based canonizer
-  (:mod:`repro.canon`) replaced the brute-force enumeration that used
-  to cap canonical keying at n = 10, and a configuration-equality memo
-  makes repeat keying of warm traffic O(n + m).
+  the engine default at **every** size: the refinement-defined
+  canonizer (:mod:`repro.canon`) keys a random configuration in about
+  one refinement, and a configuration-equality memo makes repeat
+  keying of warm traffic O(n + m).
 * :func:`certificate_key` — a digest of the 1-WL refinement
   certificate (:func:`repro.canon.certificate_key` re-exported):
   near-linear, collapses relabelings and everything 1-WL can prove
   equivalent, but may merge distinct isomorphism classes the exact key
-  separates. An escape hatch for adversarially symmetric populations
-  where even the searched canonization is too slow.
+  separates.
 * :func:`labeled_key` — a digest of the exact labeled structure, with no
   isomorphism collapse. O(n + m); use it when the population is already
   deduplicated.
@@ -33,8 +33,13 @@ means fewer cache hits (``certificate_key`` is the one exception: it
 may *over*-collapse 1-WL-equivalent non-isomorphic configurations, so
 it is opt-in and never the default).
 
-Keys are short hex strings so they serialize verbatim into the JSONL
-cache (:mod:`repro.engine.cache`) and shard checkpoints.
+Keys are short strings so they serialize verbatim into the JSONL cache
+(:mod:`repro.engine.cache`) and shard checkpoints. Canonical keys name
+their scheme (``c2:<digest>``): the form they digest changed definition
+once, from the brute-force minimum to the refinement search's leaf, and
+the prefix tells entries written under the unprefixed old keys apart —
+a cache file holding them gives the new keyer misses, never their
+records.
 """
 
 from __future__ import annotations
@@ -50,6 +55,10 @@ from ..core.configuration import Configuration
 #: Signature of a keyer: configuration -> stable string key.
 Keyer = Callable[[Configuration], str]
 
+#: Prefix of :func:`canonical_key`: names the canonical-form definition
+#: the digest was taken under (unprefixed keys predate it).
+KEY_SCHEME = "c2"
+
 
 def _digest(payload: object) -> str:
     """Stable short hex digest of a JSON-serializable payload."""
@@ -60,13 +69,13 @@ def _digest(payload: object) -> str:
 def canonical_key(cfg: Configuration) -> str:
     """Key equal for two configurations iff they are isomorphic.
 
-    The key digests the lexicographically minimal relabeled
-    ``(n, tag vector, edge set)`` of the normalized configuration, so
-    relabeled and tag-shifted copies of the same network collapse to one
-    cache entry — at any n, via :mod:`repro.canon`.
+    ``"c2:"`` plus a digest of the canonical ``(n, tag vector, edge
+    set)`` of the normalized configuration, so relabeled and tag-shifted
+    copies of the same network collapse to one cache entry — at any n,
+    via :mod:`repro.canon`.
     """
     n, tagvec, edges = canonical_form(cfg)
-    return _digest([n, list(tagvec), [list(e) for e in edges]])
+    return f"{KEY_SCHEME}:" + _digest([n, list(tagvec), [list(e) for e in edges]])
 
 
 def certificate_key(cfg: Configuration) -> str:
@@ -82,12 +91,8 @@ def certificate_key(cfg: Configuration) -> str:
 def default_keyer(cfg: Configuration) -> str:
     """The engine's default keyer: canonical at every size.
 
-    Historically this switched to :func:`labeled_key` above
-    ``CANONICAL_N_LIMIT = 10`` because brute-force canonization is
-    exponential; the refinement canonizer removed the ceiling, so
-    isomorphic duplicates now collapse at any n and the constant is
-    gone. (The canonizer's worst case is still exponential on
-    pathologically symmetric regular graphs — pick
+    (The canonizer's worst case is still exponential, on graphs both
+    highly regular and poor in automorphisms — pick
     :func:`certificate_key` or :func:`labeled_key` explicitly if a
     workload ever lives there.)
     """

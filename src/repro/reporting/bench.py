@@ -15,9 +15,14 @@ Schema (``"schema": 1``)::
       "timings_s": {"reference": 1.9, "compiled": 0.08},
       "speedup": 23.7,              // ratio the gate checks
       "floor": 5.0,                 // the gate's threshold
-      "pass": true,                 // speedup >= floor
+      "pass": true,                 // every gate cleared; null if skipped
       "host": {...}                 // interpreter/OS/cpus (see host_metadata)
     }
+
+Two optional keys appear only when set, so readers of the fields above
+are unaffected: ``"limits_s"`` (ceilings some entries of ``timings_s``
+are gated against) and ``"skipped"`` (why the gate was not decided on
+this host, e.g. ``"<4 CPUs"``; ``"pass"`` is then ``null``).
 
 Artifacts are written to :func:`bench_json_dir` — the current directory
 unless the ``REPRO_BENCH_JSON_DIR`` environment variable points
@@ -46,7 +51,9 @@ class BenchResult:
 
     ``timings_s`` maps contender name (e.g. ``"reference"``,
     ``"compiled"``) to wall seconds; ``speedup`` is the ratio the gate
-    asserts against ``floor``; ``passed`` records whether it cleared.
+    asserts against ``floor``; ``limits_s`` holds ceilings for named
+    timings; ``passed`` records whether every gate cleared, or is
+    ``None`` with ``skipped`` saying why the host could not decide.
     ``workload`` is a small JSON-able dict describing what was timed.
     """
 
@@ -55,11 +62,13 @@ class BenchResult:
     timings_s: Dict[str, float] = field(default_factory=dict)
     speedup: float = 0.0
     floor: float = 0.0
-    passed: bool = False
+    passed: Optional[bool] = False
+    limits_s: Dict[str, float] = field(default_factory=dict)
+    skipped: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         """The schema-versioned JSON payload."""
-        return {
+        out = {
             "schema": BENCH_SCHEMA_VERSION,
             "experiment": self.experiment,
             "workload": self.workload,
@@ -69,6 +78,11 @@ class BenchResult:
             "pass": self.passed,
             "host": host_metadata(),
         }
+        if self.limits_s:
+            out["limits_s"] = self.limits_s
+        if self.skipped is not None:
+            out["skipped"] = self.skipped
+        return out
 
 
 def host_metadata() -> Dict[str, object]:

@@ -1,6 +1,6 @@
 """Test-support utilities shared by the test and benchmark harnesses.
 
-Hosts three things every differential suite wants but none should own:
+Hosts four things every differential suite wants but none should own:
 
 * **the differential assertions** — :func:`assert_trace_equal` and
   :func:`assert_execution_equal` pinpoint the *first* divergence between
@@ -13,6 +13,10 @@ Hosts three things every differential suite wants but none should own:
   small-``n`` sweep, :func:`random_relabel`, and the hypothesis
   strategies :func:`configurations` / :func:`diverse_configurations`
   (guarded — hypothesis is an optional extra);
+* **the isomorphism-class oracle** — :func:`bruteforce_canonical_form`
+  enumerates relabelings, and :func:`class_partition` /
+  :func:`assert_oracle_classes` compare any canonizer with it by the
+  partition into classes it induces;
 * **re-exports** of the seeded workload builders of
   :mod:`repro.engine.workloads`, so both ``tests/conftest.py`` and
   ``benchmarks/conftest.py`` can expose one implementation under
@@ -23,7 +27,8 @@ Hosts three things every differential suite wants but none should own:
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Tuple
+from itertools import permutations, product
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core.configuration import Configuration
 from .engine.workloads import (  # noqa: F401  (re-exported)
@@ -196,6 +201,70 @@ def random_relabel(cfg: Configuration, seed: int) -> Configuration:
     shuffled = list(nodes)
     random.Random(seed).shuffle(shuffled)
     return cfg.relabel(dict(zip(nodes, shuffled)))
+
+
+# ----------------------------------------------------------------------
+# the isomorphism-class oracle
+# ----------------------------------------------------------------------
+
+
+def bruteforce_canonical_form(cfg: Configuration) -> Tuple:
+    """Reference canonical form: the lexicographic minimum, over every
+    relabeling to ``0..n−1`` that keeps the sorted ``(tag, degree)``
+    profile layout, of the normalized ``(n, tag vector, edge set)``.
+
+    Equal for two configurations iff they are tag-preserving isomorphic,
+    by exhaustion — exponential in the largest profile class, so keep it
+    to small ``n``. Its tuple is the one unprefixed (pre-``c2:``)
+    canonical keys digest; it differs from :mod:`repro.canon`'s, so only
+    the partition into classes is comparable (:func:`class_partition`).
+    """
+    cfg = cfg.normalize()
+    groups: Dict[Tuple[int, int], List[object]] = {}
+    for v in cfg.nodes:
+        groups.setdefault((cfg.tag(v), cfg.degree(v)), []).append(v)
+    layout = [groups[p] for p in sorted(groups)]
+    tagvec = tuple(cfg.tag(v) for members in layout for v in members)
+    best: Optional[Tuple] = None
+    # a relabeling is one permutation of slots per profile class
+    for perms in product(*(permutations(members) for members in layout)):
+        slot = {v: i for i, v in enumerate(v for perm in perms for v in perm)}
+        edges = tuple(
+            sorted((min(slot[u], slot[v]), max(slot[u], slot[v])) for u, v in cfg.edges)
+        )
+        if best is None or edges < best:
+            best = edges
+    return (cfg.n, tagvec, best)
+
+
+def class_partition(items: Sequence, key: Callable) -> List[List[int]]:
+    """Indices of ``items`` grouped by equal ``key``, in first-seen order.
+
+    Two keys that are both "equal iff isomorphic" give the same list, so
+    comparing against :func:`bruteforce_canonical_form` checks a
+    canonizer's contract without pinning its tuples.
+    """
+    groups: Dict[object, List[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    return list(groups.values())
+
+
+def assert_oracle_classes(configs: Iterable[Configuration], key: Callable) -> int:
+    """Assert that ``key`` splits ``configs``, plus a relabeled copy of
+    each, into exactly the oracle's isomorphism classes; returns the size
+    of that population. A failure names the first class (as population
+    indices) that differs."""
+    population = list(configs)
+    population += [random_relabel(c, i) for i, c in enumerate(population)]
+    got = class_partition(population, key)
+    want = class_partition(population, bruteforce_canonical_form)
+    for a, b in zip(got, want):
+        if a != b:
+            _fail("", f"the class of item {min(a[0], b[0])}", a, b)
+    if len(got) != len(want):
+        _fail("", "number of classes", len(got), len(want))
+    return len(population)
 
 
 try:

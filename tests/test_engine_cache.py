@@ -97,6 +97,28 @@ class TestKeys:
         other = Configuration([(0, 1), (1, 2), (2, 3)], {0: 2, 1: 1, 2: 0, 3: 0})
         assert certificate_key(cfg) != certificate_key(other)
 
+    def test_parent_scheme_entry_is_a_miss(self, tmp_path):
+        """A JSONL cache holding an entry under the parent scheme — the
+        unprefixed digest of the brute-force-defined form — gives the
+        versioned keyer a miss and a fresh record, never the stored one."""
+        from repro.engine.keys import KEY_SCHEME, _digest
+        from repro.testing import bruteforce_canonical_form
+
+        cfg = Configuration([(0, 1), (1, 2), (2, 3)], {0: 0, 1: 1, 2: 0, 3: 2})
+        n, tagvec, edges = bruteforce_canonical_form(cfg)
+        parent_key = _digest([n, list(tagvec), [list(e) for e in edges]])
+        stale = {"feasible": "stale", "iterations": -1, "rounds": None}
+        path = tmp_path / "parent.jsonl"
+        path.write_text(json.dumps({"key": parent_key, "record": stale}) + "\n")
+
+        cache = ResultCache(str(path))
+        assert cache.peek(parent_key) == stale  # the old entry is loaded ...
+        key = canonical_key(cfg)
+        assert key.startswith(KEY_SCHEME + ":") and key != parent_key
+        record = cached_evaluate(cfg, cache, census_record)
+        assert record == census_record(cfg) != stale  # ... but never served
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
     def test_canonical_key_random_isomorph_batch(self):
         import random
 

@@ -61,12 +61,22 @@ class TestIsomorphismTest:
 
 class TestCanonicalForm:
     def test_equal_iff_isomorphic_exhaustive(self):
+        """Canonical-form equality against networkx's VF2 matcher — an
+        independent isomorphism test (``are_isomorphic`` itself compares
+        canonical forms, so it cannot serve as the reference)."""
+        import networkx as nx
+        from networkx.algorithms.isomorphism import categorical_node_match
+
         configs = list(enumerate_configurations(4, 1))
+        configs += [relabeled(c, 2) for c in configs]
         keys = [canonical_form(c) for c in configs]
+        match = categorical_node_match("tag", None)
         for i in range(0, len(configs), 7):  # sampled quadratic check
             for j in range(0, len(configs), 11):
-                same_key = keys[i] == keys[j]
-                assert same_key == are_isomorphic(configs[i], configs[j])
+                vf2 = nx.is_isomorphic(
+                    configs[i].to_networkx(), configs[j].to_networkx(), node_match=match
+                )
+                assert (keys[i] == keys[j]) == vf2
 
     def test_invariant_under_relabeling(self):
         for cfg in (h_m(1), cycle_configuration([0, 1, 0, 1])):
