@@ -8,10 +8,14 @@ paper's explicit bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-import numpy as np
+try:  # only the log-log fits need numpy; the package imports without it
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised with numpy blocked
+    np = None
 
 
 @dataclass
@@ -72,7 +76,7 @@ class SweepResult:
             (
                 f"{p.x:g}",
                 f"{p.value:g}",
-                "-" if np.isnan(p.bound) else f"{p.bound:g}",
+                "-" if math.isnan(p.bound) else f"{p.bound:g}",
                 "yes" if p.within_bound else "NO",
             )
             for p in self.points
@@ -104,7 +108,7 @@ def ratio_trend(result: SweepResult) -> List[float]:
     bound, or shrink for a loose one."""
     out = []
     for p in result.points:
-        if np.isnan(p.bound) or p.bound == 0:
+        if math.isnan(p.bound) or p.bound == 0:
             out.append(float("nan"))
         else:
             out.append(p.value / p.bound)

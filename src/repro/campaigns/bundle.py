@@ -123,8 +123,8 @@ def write_bundle(
 ) -> str:
     """Write a campaign bundle; return the manifest path.
 
-    The manifest is written atomically (temp file + rename), so a
-    crashed writer never leaves a torn bundle behind.
+    One ``json.dumps`` (the C encoder) renders the manifest, written
+    atomically (temp file + rename): a crashed writer leaves no torn bundle.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "manifest.json")
@@ -137,7 +137,7 @@ def write_bundle(
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     os.replace(tmp, path)
     return path
 
@@ -201,8 +201,10 @@ def replay_trial(
     from ..adversary import adversary_from_spec
     from .runner import execute_trial
 
-    records = {r["index"]: r for r in manifest["results"]}
-    record = records.get(index)
+    results = manifest["results"]
+    record = results[index] if 0 <= index < len(results) else None
+    if record is None or record["index"] != index:  # not in trial order
+        record = next((r for r in results if r["index"] == index), None)
     if record is None:
         raise KeyError(f"manifest holds no trial with index {index}")
     config = config_from_spec(record["config"])

@@ -49,7 +49,9 @@ from ..engine.queue import (
     QueueError,
     WorkQueue,
     default_owner,
+    drain_with_local_workers,
     heartbeat_guard,
+    settled,
 )
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import registry as _registry
@@ -564,25 +566,9 @@ def collect_campaign_queue(
     Records are ordered by trial index, so the merged result is
     identical regardless of which worker ran which shard.
     """
-    own = isinstance(queue_or_path, str)
-    queue = WorkQueue(queue_or_path) if own else queue_or_path
-    try:
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        while wait and not queue.finished():
-            if deadline is not None and time.monotonic() > deadline:
-                raise QueueError(
-                    f"queue {queue.path!r} not finished after {timeout}s: "
-                    + queue.describe()
-                )
-            time.sleep(poll)
-        failures = queue.failures()
-        if failures and strict:
-            detail = "; ".join(
-                f"shard {idx}: {err}" for idx, err in failures[:5]
-            )
-            raise QueueError(
-                f"{len(failures)} shard(s) failed permanently ({detail})"
-            )
+    with settled(
+        queue_or_path, wait=wait, poll=poll, timeout=timeout, strict=strict
+    ) as queue:
         spec = CampaignSpec.from_dict(queue.meta()["campaign"])
         results: List[Dict] = []
         for _idx, rows, _stats in queue.results():
@@ -591,9 +577,6 @@ def collect_campaign_queue(
         return CampaignRun(
             spec=spec, results=results, metrics=campaign_metrics(results)
         )
-    finally:
-        if own:
-            queue.close()
 
 
 def distributed_campaign(
@@ -609,10 +592,10 @@ def distributed_campaign(
     """One-call distributed campaign: coordinator plus N local workers.
 
     Enumerates the campaign into a durable queue (resuming a matching
-    half-finished one), spawns ``num_workers`` worker processes, waits,
-    drains any leftovers in-process (expired leases are reclaimed as
-    they age out), and merges. ``num_shards`` defaults to
-    ``4 * num_workers`` for scheduling slack.
+    half-finished one), spawns ``num_workers`` worker processes that
+    exit once nothing is leasable, drains a dead worker's shard
+    in-process once its lease expires (retried every ``poll`` seconds),
+    and merges. ``num_shards`` defaults to ``4 * num_workers``.
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
@@ -627,26 +610,7 @@ def distributed_campaign(
     )
     # close before forking: SQLite connections must not cross a fork
     queue.close()
-
-    import multiprocessing
-
-    procs = [
-        multiprocessing.Process(
-            target=campaign_queue_worker,
-            args=(queue_path,),
-            kwargs={"poll": poll},
-            daemon=True,
-        )
-        for _ in range(num_workers)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join()
-    # drain guard: finish work of dead/killed workers once leases expire
-    with WorkQueue(queue_path) as check:
-        while not check.finished():
-            campaign_queue_worker(queue_path, wait=False, poll=poll)
-            if not check.finished():
-                time.sleep(poll)
+    drain_with_local_workers(
+        queue_path, campaign_queue_worker, num_workers=num_workers, poll=poll
+    )
     return collect_campaign_queue(queue_path, wait=False)

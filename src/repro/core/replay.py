@@ -27,7 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
+try:  # without numpy, vectorized replays take the plain-dict path
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised with numpy blocked
+    np = None
 
 from ..radio.events import SPONTANEOUS, ExecutionResult
 from ..radio.history import History
@@ -52,7 +55,7 @@ def replay_histories(
     """
     data = build_canonical_data(trace)
     config = trace.config
-    if vectorized and config.num_edges > 0:
+    if vectorized and np is not None and config.num_edges > 0:
         events = _phase_events_numpy(trace, data, config)
     else:
         events = _phase_events_python(trace, data, config)

@@ -47,7 +47,9 @@ from .queue import (
     QueueError,
     WorkQueue,
     default_owner,
+    drain_with_local_workers,
     heartbeat_guard,
+    settled,
 )
 from .workloads import Workload, as_workload, workload_from_spec
 
@@ -947,27 +949,9 @@ def collect_census_queue(
     to the serial census regardless of which worker computed which
     shard in which order.
     """
-    own = isinstance(queue_or_path, str)
-    queue = WorkQueue(queue_or_path) if own else queue_or_path
-    try:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        while wait and not queue.finished():
-            if deadline is not None and time.monotonic() > deadline:
-                raise QueueError(
-                    f"queue {queue.path!r} not finished after {timeout}s: "
-                    + queue.describe()
-                )
-            time.sleep(poll)
-        failures = queue.failures()
-        if failures and strict:
-            detail = "; ".join(
-                f"shard {idx}: {err}" for idx, err in failures[:5]
-            )
-            raise QueueError(
-                f"{len(failures)} shard(s) failed permanently ({detail})"
-            )
+    with settled(
+        queue_or_path, wait=wait, poll=poll, timeout=timeout, strict=strict
+    ) as queue:
         result = CensusResult()
         stats = EngineStats()
         merged = 0
@@ -983,9 +967,6 @@ def collect_census_queue(
         stats.shards_total = queue.counts()["total"]
         _registry.inc("queue.merged", merged)
         return CensusRun(result=result, stats=stats, cache=None)
-    finally:
-        if own:
-            queue.close()
 
 
 def distributed_census(
@@ -1008,11 +989,12 @@ def distributed_census(
 
     Enumerates the workload into a durable queue at ``queue_path``
     (resuming it if a matching half-finished queue is already there),
-    spawns ``num_workers`` worker *processes*, waits for them, and
-    merges the committed shards. If every worker dies with work still
-    queued, the coordinator drains the remainder in-process — expired
-    leases are reclaimed as they age out — so the call either returns
-    the complete census or raises on permanently failed shards.
+    spawns ``num_workers`` worker *processes* that exit once nothing
+    is leasable, and merges the committed shards. A dead worker's shard
+    is drained in-process once its lease expires, retried every
+    ``poll`` seconds (:func:`~repro.engine.queue.drain_with_local_workers`),
+    so the call either returns the complete census or raises on
+    permanently failed shards.
 
     ``num_shards`` defaults to ``4 * num_workers`` so the scheduler has
     slack to balance uneven shard costs across workers.
@@ -1034,31 +1016,12 @@ def distributed_census(
     )
     # close before forking: SQLite connections must not cross a fork
     queue.close()
-
-    import multiprocessing
-
-    procs = [
-        multiprocessing.Process(
-            target=census_queue_worker,
-            args=(queue_path,),
-            kwargs={
-                "max_workers": max_workers,
-                "chunksize": chunksize,
-                "poll": poll,
-            },
-            daemon=True,
-        )
-        for _ in range(num_workers)
-    ]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join()
-    # drain guard: if the workers died (or were killed) with shards
-    # still queued, finish their work here once the leases expire
-    with WorkQueue(queue_path) as check:
-        while not check.finished():
-            census_queue_worker(queue_path, wait=False, poll=poll)
-            if not check.finished():
-                time.sleep(poll)
+    drain_with_local_workers(
+        queue_path,
+        census_queue_worker,
+        num_workers=num_workers,
+        poll=poll,
+        max_workers=max_workers,
+        chunksize=chunksize,
+    )
     return collect_census_queue(queue_path, wait=False)

@@ -41,8 +41,8 @@ Queue state is mirrored into the process observability registry
 
 The queue is record-agnostic about *what* a shard computes: it stores
 opaque JSON payloads plus a metadata dict written at creation time.
-The census semantics (workload reconstruction, classification, merge)
-live in :mod:`repro.engine.pipeline`.
+Job kinds (census, campaign) bring their own workers and merges, and
+share :func:`drain_with_local_workers` and :func:`settled` from here.
 """
 
 from __future__ import annotations
@@ -631,3 +631,66 @@ class WorkQueue:
             f"{c['leased']} leased, {c['done']} done, {c['failed']} failed "
             f"({c['retried']} retried, {c['reclaimed']} reclaimed)"
         )
+
+
+@contextmanager
+def settled(queue_or_path, *, wait: bool, poll: float, timeout, strict: bool):
+    """Yield a queue ready to merge: the collect step of every job kind.
+
+    Opens a path (or borrows an open :class:`WorkQueue`); with ``wait``,
+    polls until it is finished (:class:`QueueError` after ``timeout``
+    seconds); with ``strict``, raises on permanently failed shards.
+    """
+    own = isinstance(queue_or_path, str)
+    queue = WorkQueue(queue_or_path) if own else queue_or_path
+    try:
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        while wait and not queue.finished():
+            if deadline is not None and time.monotonic() > deadline:
+                raise QueueError(
+                    f"queue {queue.path!r} not finished after {timeout}s: "
+                    + queue.describe()
+                )
+            time.sleep(poll)
+        failures = queue.failures()
+        if failures and strict:
+            detail = "; ".join(
+                f"shard {idx}: {err}" for idx, err in failures[:5]
+            )
+            raise QueueError(
+                f"{len(failures)} shard(s) failed permanently ({detail})"
+            )
+        yield queue
+    finally:
+        if own:
+            queue.close()
+
+
+def drain_with_local_workers(
+    queue_path: str, worker, *, num_workers: int, poll: float, **worker_kwargs
+) -> None:
+    """Run ``worker(queue_path, wait=False, ...)`` in ``num_workers`` forks.
+
+    Each worker exits once nothing is leasable. After joining them, the
+    drain guard repeats the call in-process every ``poll`` seconds until
+    the queue is finished, so a dead worker's shard is done here once
+    its lease expires. A healthy run never sleeps.
+    """
+    import multiprocessing
+
+    kwargs = dict(worker_kwargs, wait=False)
+    procs = [
+        multiprocessing.Process(
+            target=worker, args=(queue_path,), kwargs=kwargs, daemon=True
+        )
+        for _ in range(num_workers)
+    ]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join()
+    with WorkQueue(queue_path) as check:
+        while not check.finished():
+            worker(queue_path, **kwargs)
+            if not check.finished():
+                time.sleep(poll)

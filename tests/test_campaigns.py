@@ -1,10 +1,14 @@
 """Tests for Monte Carlo robustness campaigns (repro.campaigns)."""
 
 import json
+import os
+import random
+import time
 
 import pytest
 
 from repro.campaigns import (
+    BUNDLE_FORMAT,
     CampaignSpec,
     campaign_queue_worker,
     collect_campaign_queue,
@@ -111,6 +115,17 @@ class TestRunners:
         assert run.results == run_campaign(spec).results
         assert run.metrics == run_campaign(spec).metrics
 
+    def test_distributed_does_not_wait_out_a_poll(self, tmp_path):
+        """Local workers exit once nothing is leasable; only the drain
+        guard, which a healthy run never enters, sleeps ``poll``."""
+        spec = small_spec()
+        t0 = time.monotonic()
+        run = distributed_campaign(
+            spec, str(tmp_path / "q.sqlite"), num_workers=2, poll=3.0
+        )
+        assert time.monotonic() - t0 < 3.0
+        assert run.results == run_campaign(spec).results
+
     def test_trial_fault_isolation(self):
         """A pathological trial degrades to a recorded failure record,
         never an exception out of run_trial."""
@@ -164,6 +179,44 @@ class TestBundles:
         manifest = read_bundle(str(tmp_path / "b"))
         assert not replay_trial(manifest, 0).match
         assert replay_trial(manifest, 1).match
+
+    def test_replay_finds_trials_in_any_order(self, tmp_path):
+        """Records need not sit at the position of their index: a
+        shuffled manifest replays every trial, and an index it does not
+        hold still raises ``KeyError``."""
+        spec = small_spec(trials=8)
+        results = list(run_campaign(spec).results)
+        random.Random(3).shuffle(results)
+        assert [r["index"] for r in results] != list(range(8))
+        missing = results.pop(2)["index"]
+        write_bundle(str(tmp_path / "b"), spec, results)
+        manifest = read_bundle(str(tmp_path / "b"))
+        for record in manifest["results"]:
+            report = replay_trial(manifest, record["index"])
+            assert report.index == record["index"]
+            assert report.match, report.describe()
+        for index in (missing, -1, 8):
+            with pytest.raises(KeyError):
+                replay_trial(manifest, index)
+
+    def test_manifest_bytes_are_one_json_dumps(self, tmp_path):
+        """The manifest is exactly the compact sorted ``json.dumps``
+        rendering of its payload, written atomically (no temp file
+        left behind)."""
+        spec = small_spec(trials=6)
+        run = run_campaign(spec)
+        path = run.write_bundle(str(tmp_path / "b"))
+        payload = {
+            "format": BUNDLE_FORMAT,
+            "campaign": spec.as_dict(),
+            "trials": len(run.results),
+            "results": run.results,
+            "metrics": run.metrics,
+        }
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
+        assert os.listdir(str(tmp_path / "b")) == ["manifest.json"]
 
     def test_unknown_index_and_format(self, tmp_path):
         spec = small_spec(trials=2)

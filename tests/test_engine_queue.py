@@ -11,6 +11,7 @@ mid-run failures.
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -25,12 +26,14 @@ from repro.engine import (
     census_queue_worker,
     collect_census_queue,
     create_census_queue,
+    distributed_census,
     expected_yield,
     observed_miss_rate,
     rank,
     sharded_census,
     workload_from_spec,
 )
+from repro.engine.queue import drain_with_local_workers
 from repro.engine.scheduler import MIN_MISS_RATE
 
 from conftest import random_config_batch
@@ -326,6 +329,61 @@ def test_census_queue_worker_matches_serial(tmp_path):
     assert run.result.rows == serial.result.rows
     assert run.stats.total_configs == serial.stats.total_configs
     assert run.stats.classified == serial.stats.classified
+
+
+# ----------------------------------------------------------------------
+# one-call form: local workers exit, the coordinator's guard drains
+# ----------------------------------------------------------------------
+def test_distributed_census_does_not_wait_out_a_poll(tmp_path):
+    """Local workers exit once nothing is leasable instead of sleeping a
+    poll interval while a peer finishes: a healthy run never sleeps."""
+    wl = RandomGnpWorkload([5, 6], span=2, p=0.35, samples=10, seed=5)
+    t0 = time.monotonic()
+    run = distributed_census(
+        wl, str(tmp_path / "census.sqlite"), num_workers=2, poll=3.0
+    )
+    assert time.monotonic() - t0 < 3.0
+    assert run.result.rows == sharded_census(wl).result.rows
+
+
+def test_drain_guard_finishes_a_dead_owners_shard(tmp_path):
+    """A resumed queue holds a shard leased by a ghost that never
+    commits; the coordinator's drain guard reclaims it once the lease
+    expires, and the census is still the serial one."""
+    wl = RandomGnpWorkload([5, 6], span=2, p=0.35, samples=10, seed=6)
+    path = str(tmp_path / "census.sqlite")
+    q = create_census_queue(path, wl, num_shards=8, lease_ttl=0.5)
+    assert q.lease("ghost") is not None
+    q.close()
+    run = distributed_census(
+        wl, path, num_workers=2, num_shards=8, lease_ttl=0.5, poll=0.05
+    )
+    assert run.result.rows == sharded_census(wl).result.rows
+    assert run.stats.total_configs == len(wl)
+    with WorkQueue(path) as q:
+        counts = q.counts()
+    assert counts["reclaimed"] >= 1
+    assert counts["done"] == counts["total"] == 8
+
+
+def test_drain_guard_passes_the_worker_kwargs(tmp_path):
+    """The in-process drain calls the worker exactly as the forked
+    workers are called: the caller's kwargs plus ``wait=False``."""
+    wl = RandomGnpWorkload([5], span=2, p=0.3, samples=4, seed=2)
+    path = str(tmp_path / "census.sqlite")
+    create_census_queue(path, wl, num_shards=2).close()
+    calls = []
+
+    def worker(queue_path, **kwargs):
+        calls.append(kwargs)
+        return census_queue_worker(queue_path, **kwargs)
+
+    drain_with_local_workers(
+        path, worker, num_workers=0, poll=0.01, max_workers=1, chunksize=4
+    )
+    assert calls == [{"max_workers": 1, "chunksize": 4, "wait": False}]
+    with WorkQueue(path) as q:
+        assert q.finished()
 
 
 def test_collect_strict_raises_on_failed_shards(tmp_path):
