@@ -32,7 +32,7 @@ import multiprocessing
 
 import pytest
 
-from repro.analysis.parallel import available_cpus
+from repro.reporting.bench import available_cpus
 from repro.canon import clear_memo
 from repro.engine import (
     EnumerationWorkload,

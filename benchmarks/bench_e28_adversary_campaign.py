@@ -32,7 +32,7 @@ import time
 
 import pytest
 
-from repro.analysis.parallel import available_cpus
+from repro.reporting.bench import available_cpus
 from repro.campaigns import (
     CampaignSpec,
     derive_trial,

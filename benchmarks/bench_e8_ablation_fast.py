@@ -3,6 +3,8 @@
 Same outputs (asserted), different asymptotics: the paper's O(n³Δ) loop vs
 the dict-based O(nΔ log Δ)-per-iteration variant. The benchmark pair
 quantifies the win; the correctness assertion keeps the ablation honest.
+The faithful loop is ``classify(cfg, algorithm="reference")``:
+``classify``'s default is the compiled core, not the paper's loop.
 """
 
 import pytest
@@ -23,7 +25,7 @@ def worst_case_path(n):
 @pytest.mark.benchmark(group="e8-ablation-n64")
 def test_faithful_n64(benchmark):
     cfg = worst_case_path(64)
-    trace = benchmark(classify, cfg)
+    trace = benchmark(classify, cfg, algorithm="reference")
     assert trace.decision
 
 
@@ -37,7 +39,7 @@ def test_fast_n64(benchmark):
 @pytest.mark.benchmark(group="e8-ablation-n128")
 def test_faithful_n128(benchmark):
     cfg = worst_case_path(128)
-    trace = benchmark(classify, cfg)
+    trace = benchmark(classify, cfg, algorithm="reference")
     assert trace.decision
 
 
@@ -56,7 +58,8 @@ def test_outputs_identical_across_workloads(benchmark):
 
     def run():
         return all(
-            traces_equal(classify(c), fast_classify(c)) for c in configs
+            traces_equal(classify(c, algorithm="reference"), fast_classify(c))
+            for c in configs
         )
 
     assert benchmark(run)

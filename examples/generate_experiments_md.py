@@ -282,7 +282,7 @@ def e8(doc):
     for m in (8, 16, 32):
         cfg = g_m(m)
         t0 = time.perf_counter()
-        a = classify(cfg)
+        a = classify(cfg, algorithm="reference")
         t_faithful = time.perf_counter() - t0
         t0 = time.perf_counter()
         b = fast_classify(cfg)

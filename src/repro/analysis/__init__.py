@@ -36,12 +36,6 @@ from .isomorphism import (
     find_isomorphism,
     orbit_of,
 )
-from .parallel import (
-    parallel_cross_model,
-    parallel_decisions,
-    parallel_feasibility,
-    parallel_map,
-)
 from .views import (
     ContrastCensus,
     ContrastRow,
@@ -108,10 +102,6 @@ __all__ = [
     "max_iterations",
     "min_feasible_span",
     "orbit_of",
-    "parallel_cross_model",
-    "parallel_decisions",
-    "parallel_feasibility",
-    "parallel_map",
     "quotient_graph",
     "radio_stable",
     "radio_vs_wired",

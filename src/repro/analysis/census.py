@@ -11,16 +11,16 @@ vectorized batch kernel (:mod:`repro.core.batch`); an explicit serial
 ``algorithm`` — or a missing numpy — falls back to one classification
 per configuration. Both paths aggregate identical numbers.
 Production-scale sweeps go through :mod:`repro.engine` instead —
-canonical-form caching, sharding, resume — and :func:`random_census`
-routes there by default; the engine is contractually bit-for-bit equal
-to :func:`census` on the same workload (see
+canonical-form caching, sharding, and the resumable work queue — and
+:func:`random_census` routes there; the engine is contractually
+bit-for-bit equal to :func:`census` on the same workload (see
 ``tests/test_engine_pipeline.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from ..core.classifier import classify
 from ..core.configuration import Configuration
@@ -86,9 +86,9 @@ class CensusResult:
 def group_by_n(config: Configuration) -> int:
     """Census grouping key: configuration size.
 
-    Module-level (not a lambda) so the engine's checkpoint fingerprint —
-    which identifies groupings by definition site — matches between the
-    CLI and :func:`random_census` for the same census.
+    Module-level (not a lambda) so a distributed census can ship it
+    through its work queue by name (see
+    :data:`repro.engine.pipeline.GROUPINGS`).
     """
     return config.n
 
@@ -198,43 +198,25 @@ def random_census_run(
     measure_rounds: bool = False,
     num_shards: int = 1,
     cache=None,
-    max_workers: Optional[int] = 1,
-    checkpoint_dir: Optional[str] = None,
     algorithm: str = "auto",
-    queue: Optional[str] = None,
-    queue_workers: int = 1,
-    lease_ttl: Optional[float] = None,
 ):
-    """Engine run of the random census, returning the full ``CensusRun``.
+    """In-process engine run of the random census, returning the full
+    ``CensusRun``.
 
-    The single construction site for the random-census workload and its
-    engine invocation: :func:`random_census` (which keeps the
+    The single construction site for the random census's engine
+    invocation: :func:`random_census` (which keeps the
     ``CensusResult``-returning signature) and the CLI (which also wants
-    the run/cache accounting for its footer) both delegate here, so
-    their checkpoints stay interchangeable by construction. With
-    ``queue`` set, the run goes through the distributed work-queue path
-    (``queue_workers`` worker processes; see ``docs/distributed.md``)
-    and produces the identical result.
+    the run/cache accounting for its footer) both delegate here.
     """
     from ..engine import sharded_census
 
-    workload = random_census_workload(n_values, span, p, samples, seed)
-    extra = {}
-    if queue is not None:
-        extra["queue"] = queue
-        extra["queue_workers"] = queue_workers
-        if lease_ttl is not None:
-            extra["lease_ttl"] = lease_ttl
     return sharded_census(
-        workload,
+        random_census_workload(n_values, span, p, samples, seed),
         group_by=group_by_n,
         measure_rounds=measure_rounds,
         num_shards=num_shards,
         cache=cache,
-        max_workers=max_workers,
-        checkpoint_dir=checkpoint_dir,
         algorithm=algorithm,
-        **extra,
     )
 
 
@@ -246,52 +228,27 @@ def random_census(
     seed: int,
     *,
     measure_rounds: bool = False,
-    use_engine: bool = True,
     num_shards: int = 1,
     cache=None,
-    max_workers: Optional[int] = 1,
-    checkpoint_dir: Optional[str] = None,
     algorithm: str = "auto",
 ) -> CensusResult:
     """Census over seeded random connected G(n,p) configurations with
     uniform random tags in ``0..span``; grouped by n.
 
-    By default the run goes through the :mod:`repro.engine` pipeline
-    (canonical-form caching; optionally sharded, parallel, and
-    checkpointed via the keyword arguments), which returns results
-    identical to the serial path. ``use_engine=False`` forces the
-    one-pass reference implementation — useful only for equality tests.
+    The run goes through the :mod:`repro.engine` pipeline
+    (canonical-form caching, optionally sharded), whose rows equal the
+    serial :func:`census` over the same population;
+    :func:`repro.testing.random_census_configs` generates that
+    population independently of the engine.
     """
-    n_values = list(n_values)
-    if use_engine:
-        return random_census_run(
-            n_values,
-            span,
-            p,
-            samples,
-            seed,
-            measure_rounds=measure_rounds,
-            num_shards=num_shards,
-            cache=cache,
-            max_workers=max_workers,
-            checkpoint_dir=checkpoint_dir,
-            algorithm=algorithm,
-        ).result
-
-    from ..graphs.generators import build, random_connected_gnp_edges
-    from ..graphs.tags import uniform_random
-
-    def configs():
-        for n in n_values:
-            for s in range(samples):
-                base = seed + 7919 * s + 104729 * n
-                edges = random_connected_gnp_edges(n, p, base)
-                tags = uniform_random(range(n), span, base + 1)
-                yield build(edges, tags, n=n)
-
-    return census(
-        configs(),
-        group_by=group_by_n,
+    return random_census_run(
+        n_values,
+        span,
+        p,
+        samples,
+        seed,
         measure_rounds=measure_rounds,
+        num_shards=num_shards,
+        cache=cache,
         algorithm=algorithm,
-    )
+    ).result

@@ -15,8 +15,9 @@ adversarial robustness campaigns with replayable bundles).
     repro-radio classify --family hm:3
     repro-radio elect --family gm:2 --verbose
     repro-radio census --n 6,8,10 --span 2 --p 0.3 --samples 20 --seed 1
-    repro-radio census --n 8 --samples 200 --shards 8 --workers 4 \\
-        --cache census.jsonl --checkpoint ckpt/
+    repro-radio census --n 8 --samples 200 --shards 8 --cache census.jsonl
+    repro-radio census --n 8 --samples 200 --queue census.sqlite --workers 4 \\
+        --cache census.jsonl
     repro-radio serve --port 8765 --cache service.jsonl
     repro-radio defeat
 
@@ -369,12 +370,14 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise SystemExit("census: --compact-cache requires --cache")
     if args.queue is None and args.role != "auto":
         raise SystemExit("census: --role requires --queue")
+    if args.queue is None and args.workers is not None:
+        raise SystemExit(
+            "census: --workers requires --queue (it counts queue worker "
+            "processes; an in-process census runs in this process)"
+        )
     if args.queue:
-        if args.checkpoint:
-            raise SystemExit(
-                "census: --queue and --checkpoint are mutually exclusive "
-                "(the queue itself is the durable state)"
-            )
+        if args.workers is None:
+            args.workers = 1
         try:
             return _census_queue_mode(args)
         except QueueError as exc:
@@ -396,12 +399,10 @@ def cmd_census(args: argparse.Namespace) -> int:
             measure_rounds=args.rounds,
             num_shards=args.shards,
             cache=cache,
-            max_workers=args.workers,
-            checkpoint_dir=args.checkpoint,
             algorithm=args.algorithm,
         )
     except OSError as exc:
-        raise SystemExit(f"census: cache/checkpoint I/O failed: {exc}")
+        raise SystemExit(f"census: cache I/O failed: {exc}")
     result = run.result
     if args.stats_json:
         # machine-readable mode: emit exactly obs.snapshot() (with this
@@ -469,7 +470,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         batch_window=args.batch_window,
-        max_workers=args.workers,
         algorithm=args.algorithm,
     )
     try:
@@ -949,11 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="process-pool workers for cache misses (default serial)",
-    )
-    p.add_argument(
-        "--checkpoint", help="directory for per-shard resume checkpoints"
+        default=None,
+        help="queue worker processes (requires --queue; default 1)",
     )
     p.add_argument(
         "--queue",
@@ -961,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "distributed mode: durable SQLite work queue shared by "
             "cooperating worker processes (see docs/distributed.md); "
-            "--workers then counts worker processes"
+            "rerunning against a half-finished queue resumes it"
         ),
     )
     p.add_argument(
@@ -1042,16 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.002,
         help="seconds to wait for stragglers when forming a batch",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "process-pool workers for cache misses (default serial; "
-            "pool startup is paid per cold batch — only worth it for "
-            "large, expensive cold batches)"
-        ),
     )
     p.add_argument(
         "--max-connections",

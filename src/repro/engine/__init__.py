@@ -1,4 +1,4 @@
-"""Census engine: canonical-form memoization + sharded parallel pipeline.
+"""Census engine: canonical-form memoization + sharded pipeline + work queue.
 
 The engine turns the library's feasibility censuses (E1, E11, E14, E15)
 from throwaway sweeps into accumulating, resumable artifacts:
@@ -13,15 +13,14 @@ from throwaway sweeps into accumulating, resumable artifacts:
   workload descriptions (random G(n, p) sweeps, exhaustive
   enumerations) that shards can regenerate without materializing the
   population;
-* :mod:`repro.engine.pipeline` — the sharded census runner layered on
-  :mod:`repro.analysis.parallel`, with per-shard checkpoints and
-  bit-for-bit equality with the serial
-  :func:`repro.analysis.census.census` path;
+* :mod:`repro.engine.pipeline` — the in-process sharded census runner,
+  bit-for-bit equal to the serial :func:`repro.analysis.census.census`
+  path;
 * :mod:`repro.engine.queue` + :mod:`repro.engine.scheduler` — the
-  distributed path: a durable SQLite work queue that N independent
-  worker processes drain under lease/heartbeat semantics, with pending
-  shards ranked by expected classification yield (see
-  ``docs/distributed.md``).
+  distributed path and the only resumable one: a durable SQLite work
+  queue that N independent worker processes drain under
+  lease/heartbeat semantics, with pending shards ranked by expected
+  classification yield (see ``docs/distributed.md``).
 
 Quickstart::
 

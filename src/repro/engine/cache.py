@@ -13,10 +13,11 @@ evaluator namespace.
 
 Persistence is append-only JSON lines: one ``{"key": ..., "record": ...}``
 object per line. Appending is crash-tolerant (a truncated final line is
-ignored on load), re-opening a file replays it into memory, and two runs
-appending the same key are harmless — the last line wins. This is what
-makes repeated and resumed censuses near-free: the second run's lookups
-hit either the LRU or the replayed file and skip classification entirely.
+ignored on load, and the next writer ends it before appending),
+re-opening a file replays it into memory, and two runs appending the
+same key are harmless — the last line wins. This is what makes repeated
+and resumed censuses near-free: the second run's lookups hit either the
+LRU or the replayed file and skip classification entirely.
 """
 
 from __future__ import annotations
@@ -149,7 +150,11 @@ class ResultCache:
         interleave inside a line: the kernel serializes whole-line
         appends, and records are deterministic, so whichever duplicate
         lands last is bit-for-bit the same. A crash mid-write leaves at
-        most one truncated trailing line (which :meth:`_replay` skips).
+        most one truncated trailing line (which :meth:`_replay` skips);
+        the first put after opening the store ends such a line with a
+        newline, so the record it appends is not glued onto the torn
+        one. Two openers racing here add at most a blank line, which
+        replay skips.
         """
         self._store(key, record)
         if _OBS.enabled:
@@ -158,9 +163,12 @@ class ResultCache:
             if self._fd is None:
                 self._fd = os.open(
                     self.path,
-                    os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                    os.O_RDWR | os.O_APPEND | os.O_CREAT,
                     0o644,
                 )
+                end = os.lseek(self._fd, 0, os.SEEK_END)
+                if end and os.pread(self._fd, 1, end - 1) != b"\n":
+                    os.write(self._fd, b"\n")
             line = (
                 json.dumps(
                     {"key": key, "record": record},

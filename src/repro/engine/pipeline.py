@@ -1,37 +1,31 @@
-"""Sharded, cached, resumable census pipeline.
+"""Sharded, cached census pipeline.
 
 The pipeline splits a :class:`~repro.engine.workloads.Workload` into
 deterministic contiguous shards, classifies each shard through the
-canonical-form cache (misses optionally fanned out over
-:func:`repro.analysis.parallel.parallel_map`), and streams only the
-*aggregated* per-shard rows to the merger — memory is bounded by one
-shard plus the row table, never by the population size.
+canonical-form cache, and streams only the *aggregated* per-shard rows
+to the merger — memory is bounded by one shard plus the row table,
+never by the population size.
 
-Guarantees:
+For any shard count, worker count, and cache state, the merged
+:class:`~repro.analysis.census.CensusResult` equals what the serial
+:func:`repro.analysis.census.census` produces on the same workload, row
+for row. This holds because every cached quantity (feasibility,
+refinement iterations, election rounds) is invariant under the
+tag-preserving isomorphisms the canonical key collapses.
 
-* **Equality** — for any shard count, worker count, and cache state, the
-  merged :class:`~repro.analysis.census.CensusResult` equals what the
-  serial :func:`repro.analysis.census.census` produces on the same
-  workload, row for row. This holds because every cached quantity
-  (feasibility, refinement iterations, election rounds) is invariant
-  under the tag-preserving isomorphisms the canonical key collapses.
-* **Resume** — with a ``checkpoint_dir``, each finished shard writes an
-  atomic JSON checkpoint; a re-run loads matching checkpoints instead of
-  recomputing, so an interrupted census continues where it stopped and a
-  completed one replays instantly.
+:func:`sharded_census` runs in-process and keeps no resume state. The
+durable work queue (:func:`distributed_census`) is the one way to
+resume an interrupted census and the one way to run it in several
+processes.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.census import CensusResult, CensusRow, group_by_n
-from ..analysis.parallel import parallel_map
 from ..core.classifier import classify
 from ..core.configuration import Configuration
 from ..core.election import elect_leader
@@ -55,8 +49,6 @@ from .workloads import Workload, as_workload, workload_from_spec
 
 #: Default grouping, matching :func:`repro.analysis.census.census`.
 GroupBy = Callable[[Configuration], object]
-
-_CHECKPOINT_VERSION = 1
 
 
 def group_by_n_span(config: Configuration) -> Tuple[int, int]:
@@ -235,7 +227,6 @@ class EngineStats:
     cache_hits: int = 0  #: items answered from pre-existing records
     deduped: int = 0  #: same-shard isomorphic duplicates of a fresh miss
     shards_total: int = 0
-    shards_resumed: int = 0  #: shards replayed from checkpoints
 
     @property
     def hit_rate(self) -> float:
@@ -258,7 +249,6 @@ class EngineStats:
             "coalesced": self.deduped,
             "hit_rate": round(self.hit_rate, 4),
             "shards_total": self.shards_total,
-            "shards_resumed": self.shards_resumed,
         }
 
 
@@ -277,7 +267,7 @@ class CensusRun:
             f"engine: {s.total_configs} configs, {s.classified} classified, "
             f"{s.cache_hits} cache hits, {s.deduped} deduped "
             f"({s.hit_rate:.1%} unclassified), "
-            f"{s.shards_total} shard(s), {s.shards_resumed} resumed"
+            f"{s.shards_total} shard(s)"
         )
 
 
@@ -294,60 +284,6 @@ def _shard_rows(result_rows: Dict[object, CensusRow]) -> List[Dict]:
     ]
 
 
-def _checkpoint_path(checkpoint_dir: str, shard: ShardSpec) -> str:
-    return os.path.join(checkpoint_dir, f"shard-{shard.index:05d}.json")
-
-
-def _load_checkpoint(
-    path: str, shard: ShardSpec, fingerprint: Dict
-) -> Optional[List[Dict]]:
-    """Shard rows from a checkpoint, or None if absent/stale/mismatched."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    expected = {
-        "version": _CHECKPOINT_VERSION,
-        "shard": shard.index,
-        "start": shard.start,
-        "stop": shard.stop,
-        **fingerprint,
-    }
-    if any(obj.get(k) != v for k, v in expected.items()):
-        return None
-    rows = obj.get("rows")
-    # a torn/hand-edited file can hold valid JSON of the wrong shape;
-    # treat it like a stale checkpoint (recompute) instead of crashing
-    if not isinstance(rows, list) or not all(
-        isinstance(r, dict) and "group" in r and "total" in r for r in rows
-    ):
-        return None
-    return rows
-
-
-def _write_checkpoint(
-    path: str, shard: ShardSpec, fingerprint: Dict, rows: List[Dict]
-) -> None:
-    payload = {
-        "version": _CHECKPOINT_VERSION,
-        "shard": shard.index,
-        "start": shard.start,
-        "stop": shard.stop,
-        **fingerprint,
-        "rows": rows,
-    }
-    # per-pid temp name: concurrent runs sharing a checkpoint dir race
-    # on the rename (either file is a complete, valid checkpoint), never
-    # on the temp file's contents
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-    os.replace(tmp, path)  # atomic: a crashed run never half-writes
-
-
 def _merge_rows(result: CensusResult, rows: List[Dict]) -> None:
     for r in rows:
         group = _decode_group(r["group"])
@@ -358,24 +294,6 @@ def _merge_rows(result: CensusResult, rows: List[Dict]) -> None:
         row.rounds_sum += r["rounds_sum"]
 
 
-def _miss_algorithm(algorithm: str, max_workers: Optional[int]) -> str:
-    """Implementation for a batch of cache misses (see ``batch_records``).
-
-    Explicit ``"batch"`` always means the vectorized kernel (it runs
-    in-process, so a worker-count fan-out request is ignored); ``"auto"``
-    means the kernel exactly when it can run and no multiprocessing
-    fan-out was requested — ``max_workers`` other than 1 keeps the
-    existing :func:`repro.analysis.parallel.parallel_map` behavior.
-    """
-    if algorithm == "batch":
-        return "batch"
-    if algorithm == "auto" and max_workers == 1:
-        from ..core.batch import resolve_batch_algorithm
-
-        return resolve_batch_algorithm("auto")
-    return algorithm
-
-
 def batch_records(
     configs,
     cache: ResultCache,
@@ -383,8 +301,6 @@ def batch_records(
     measure_rounds: bool = False,
     keyer: Keyer = default_keyer,
     precomputed_keys: Optional[Sequence[str]] = None,
-    max_workers: Optional[int] = 1,
-    chunksize: int = 16,
     stats: Optional[EngineStats] = None,
     algorithm: str = "auto",
 ) -> List[Dict]:
@@ -396,18 +312,16 @@ def batch_records(
     (:mod:`repro.engine.keys`); duplicate keys inside the batch are
     coalesced to one classification; keys with a sufficient cached record
     are answered without work; the remaining *unique* misses are
-    classified via :func:`census_record` — serially, or fanned out over
-    :func:`repro.analysis.parallel.parallel_map` — and written back to
-    the cache.
+    classified in one call and written back to the cache.
 
     ``configs`` may be any iterable (a list, a workload slice, a
     generator); it is consumed once, one configuration at a time.
     Returns one :func:`census_record`-shaped dict per input configuration
     (cached records are returned by reference; treat them as read-only).
-    Record values are deterministic and independent of batch composition,
-    cache state, and worker count. When ``stats`` is given, its
-    ``cache_hits`` / ``deduped`` / ``classified`` counters are updated
-    with this batch's accounting.
+    Record values are deterministic and independent of batch composition
+    and cache state. When ``stats`` is given, its ``cache_hits`` /
+    ``deduped`` / ``classified`` counters are updated with this batch's
+    accounting.
 
     ``precomputed_keys`` skips normalization and keying for callers that
     already paid for both (keying is the expensive step for canonical
@@ -415,15 +329,13 @@ def batch_records(
     then already be normalized. The batch classification service uses
     this — requests are keyed once at submit time, never again.
 
-    Miss classification picks its implementation through
-    :func:`repro.core.batch.resolve_batch_algorithm`: with
-    ``algorithm="auto"`` and no multiprocessing fan-out
-    (``max_workers=1``), the unique misses go through the vectorized
-    batch kernel in one lockstep call (falling back to the compiled
-    core when numpy is absent); ``algorithm="batch"`` forces the kernel;
-    any other knob, or ``max_workers > 1``, keeps the per-configuration
-    :func:`census_record` path. All choices produce bit-for-bit
-    identical records.
+    Miss classification picks its implementation the way
+    :func:`repro.analysis.census.census` does: the unique misses go
+    through the vectorized batch kernel in one lockstep call exactly
+    when :func:`repro.core.batch.resolve_batch_algorithm` resolves
+    ``algorithm`` to ``"batch"`` (``"auto"`` with numpy importable);
+    any other choice classifies them one :func:`census_record` at a
+    time. All choices produce bit-for-bit identical records.
 
     When tracing is enabled (:mod:`repro.obs`), each call opens an
     ``engine.batch`` span whose closing counters carry this batch's
@@ -438,8 +350,6 @@ def batch_records(
             measure_rounds=measure_rounds,
             keyer=keyer,
             precomputed_keys=precomputed_keys,
-            max_workers=max_workers,
-            chunksize=chunksize,
             stats=stats,
             algorithm=algorithm,
         )
@@ -451,8 +361,6 @@ def batch_records(
             measure_rounds=measure_rounds,
             keyer=keyer,
             precomputed_keys=precomputed_keys,
-            max_workers=max_workers,
-            chunksize=chunksize,
             stats=stats,
             algorithm=algorithm,
         )
@@ -474,8 +382,6 @@ def _batch_records_impl(
     measure_rounds: bool,
     keyer: Keyer,
     precomputed_keys: Optional[Sequence[str]],
-    max_workers: Optional[int],
-    chunksize: int,
     stats: EngineStats,
     algorithm: str,
 ) -> List[Dict]:
@@ -512,24 +418,19 @@ def _batch_records_impl(
     if pending:
         missing = list(pending)
         miss_configs = [pending[k] for k in missing]
-        if _miss_algorithm(algorithm, max_workers) == "batch":
-            from ..core.batch import batch_census_records
+        from ..core.batch import batch_census_records, resolve_batch_algorithm
 
+        if resolve_batch_algorithm(algorithm) == "batch":
             records = batch_census_records(
                 miss_configs, measure_rounds=measure_rounds
             )
         else:
-            worker = partial(
-                census_record,
-                measure_rounds=measure_rounds,
-                algorithm=algorithm,
-            )
-            records = parallel_map(
-                worker,
-                miss_configs,
-                max_workers=max_workers,
-                chunksize=chunksize,
-            )
+            records = [
+                census_record(
+                    cfg, measure_rounds=measure_rounds, algorithm=algorithm
+                )
+                for cfg in miss_configs
+            ]
         for key, record in zip(missing, records):
             records_by_key[key] = record
             cache.put(key, record)
@@ -545,8 +446,6 @@ def _classify_shard(
     group_by: GroupBy,
     measure_rounds: bool,
     keyer: Keyer,
-    max_workers: Optional[int],
-    chunksize: int,
     stats: EngineStats,
     algorithm: str,
 ) -> Dict[object, CensusRow]:
@@ -567,8 +466,6 @@ def _classify_shard(
         cache,
         measure_rounds=measure_rounds,
         keyer=keyer,
-        max_workers=max_workers,
-        chunksize=chunksize,
         stats=stats,
         algorithm=algorithm,
     )
@@ -588,20 +485,14 @@ def _classify_shard(
 def sharded_census(
     workload,
     *,
-    group_by: Optional[GroupBy] = None,
+    group_by: GroupBy = group_by_n_span,
     measure_rounds: bool = False,
     num_shards: int = 1,
     cache: Optional[ResultCache] = None,
     keyer: Keyer = default_keyer,
-    max_workers: Optional[int] = 1,
-    chunksize: int = 16,
-    checkpoint_dir: Optional[str] = None,
     algorithm: str = "auto",
-    queue: Optional[str] = None,
-    queue_workers: int = 1,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> CensusRun:
-    """Run a census through the sharded, cached engine pipeline.
+    """Run a census in-process through the sharded, cached pipeline.
 
     Parameters
     ----------
@@ -611,92 +502,32 @@ def sharded_census(
         :class:`~repro.engine.workloads.SequenceWorkload`).
     group_by:
         aggregation key, applied to the *normalized* configuration;
-        defaults to ``(n, span)`` like the serial census. Must be
-        JSON-serializable (ints / strings / tuples thereof) when
-        checkpointing.
+        defaults to ``(n, span)`` like the serial census.
     num_shards:
         how many contiguous shards to split the workload into. Shard
-        boundaries never change results — only checkpoint granularity
-        and peak memory.
+        boundaries never change results — only peak memory and the
+        granularity of the per-shard trace events.
     cache:
         shared :class:`~repro.engine.cache.ResultCache`; a private
         in-memory cache is created when omitted, so even a one-shot run
         gets intra-run isomorphism dedup.
-    max_workers / chunksize:
-        forwarded to :func:`repro.analysis.parallel.parallel_map` for
-        cache-miss classification; ``max_workers=1`` (the default) stays
-        serial in-process.
     algorithm:
         classifier implementation for cache misses (see
-        :func:`repro.core.classifier.classify`); every choice yields
-        bit-for-bit the same records, so checkpoints and caches written
-        under one knob replay under any other.
-    checkpoint_dir:
-        directory for per-shard resume checkpoints; created if missing.
-        Checkpoints embed the workload description, the census options,
-        and the grouping's definition site, and are ignored on mismatch.
-        Caveat: two *different* lambdas defined at the same source site
-        (or two SequenceWorkloads whose fingerprints collide) cannot be
-        told apart — point distinct censuses at distinct directories.
-    queue / queue_workers / lease_ttl:
-        the distributed path: ``queue`` is a path for a durable SQLite
-        work queue; the census is enumerated into it and drained by
-        ``queue_workers`` worker processes (see
-        :func:`distributed_census`). Durability comes from the queue,
-        so ``checkpoint_dir`` is mutually exclusive with it; the
-        grouping must be registered (:func:`register_grouping`) and the
-        keyer must be the default (workers always key canonically).
+        :func:`batch_records`); every choice yields bit-for-bit the
+        same records, so caches written under one knob replay under
+        any other.
+
+    To resume an interrupted census, or to spread one over processes,
+    run it through the work queue instead (:func:`distributed_census`).
     """
     workload = as_workload(workload)
-    if queue is not None:
-        if checkpoint_dir is not None:
-            raise ValueError(
-                "queue= and checkpoint_dir= are mutually exclusive "
-                "(the queue itself is the durable state)"
-            )
-        if keyer is not default_keyer:
-            raise ValueError(
-                "queue= requires the default keyer (worker processes "
-                "always key canonically)"
-            )
-        return distributed_census(
-            workload,
-            queue,
-            num_workers=queue_workers,
-            num_shards=num_shards if num_shards != 1 else None,
-            measure_rounds=measure_rounds,
-            algorithm=algorithm,
-            group_by=group_by,
-            cache_path=cache.path if cache is not None else None,
-            lease_ttl=lease_ttl,
-            max_workers=max_workers,
-            chunksize=chunksize,
-        )
-    if group_by is None:
-        group_by = lambda c: (c.n, c.span)  # noqa: E731
     if cache is None:
         cache = ResultCache()
     total = len(workload)
     shards = plan_shards(total, num_shards)
     stats = EngineStats(total_configs=total, shards_total=len(shards))
-    fingerprint: Dict = {}
-    if checkpoint_dir:
-        # workload.describe() may be O(population) (SequenceWorkload
-        # digests its members), so only fingerprint when checkpointing
-        fingerprint = {
-            "workload": workload.describe(),
-            "measure_rounds": measure_rounds,
-            # identify the grouping by definition site: different call
-            # sites (module + qualname) always fingerprint differently,
-            # so a resume with a different grouping recomputes instead
-            # of replaying rows aggregated under the old one
-            "group_by": f"{group_by.__module__}.{group_by.__qualname__}",
-        }
-        os.makedirs(checkpoint_dir, exist_ok=True)
-
     result = CensusResult()
-    done_wall = 0.0  # traced-mode ETA bookkeeping (computed shards only)
-    done_shards = 0
+    done_wall = 0.0  # traced-mode ETA bookkeeping
     with _obs_span(
         "census.run",
         total=total,
@@ -705,64 +536,42 @@ def sharded_census(
         algorithm=algorithm,
     ):
         for position, shard in enumerate(shards):
-            rows: Optional[List[Dict]] = None
-            path = (
-                _checkpoint_path(checkpoint_dir, shard) if checkpoint_dir else None
-            )
-            if path:
-                rows = _load_checkpoint(path, shard, fingerprint)
-            if rows is not None:
-                stats.shards_resumed += 1
-                if _OBS.enabled:
-                    _obs_event(
-                        "shard.resumed", shard=shard.index, rows=len(rows)
-                    )
-            else:
-                if _OBS.enabled:
-                    _obs_event(
-                        "shard.started", shard=shard.index, size=shard.size
-                    )
-                hits0 = stats.cache_hits + stats.deduped
-                with _obs_span(
-                    "census.shard", shard=shard.index, size=shard.size
-                ) as sp:
-                    shard_rows = _classify_shard(
-                        shard,
-                        workload,
-                        cache,
-                        group_by,
-                        measure_rounds,
-                        keyer,
-                        max_workers,
-                        chunksize,
-                        stats,
-                        algorithm,
-                    )
-                rows = _shard_rows(shard_rows)
-                if path:
-                    _write_checkpoint(path, shard, fingerprint, rows)
-                if _OBS.enabled:
-                    wall = sp.duration or 0.0
-                    done_wall += wall
-                    done_shards += 1
-                    remaining = len(shards) - position - 1
-                    hit_rate = (
-                        (stats.cache_hits + stats.deduped - hits0) / shard.size
-                        if shard.size
-                        else 0.0
-                    )
-                    _obs_event(
-                        "shard.finished",
-                        shard=shard.index,
-                        wall=round(wall, 6),
-                        hit_rate=round(hit_rate, 4),
-                        rows=len(rows),
-                        eta=round(done_wall / done_shards * remaining, 6),
-                    )
-            _merge_rows(result, rows)
+            if _OBS.enabled:
+                _obs_event("shard.started", shard=shard.index, size=shard.size)
+            hits0 = stats.cache_hits + stats.deduped
+            with _obs_span(
+                "census.shard", shard=shard.index, size=shard.size
+            ) as sp:
+                shard_rows = _classify_shard(
+                    shard,
+                    workload,
+                    cache,
+                    group_by,
+                    measure_rounds,
+                    keyer,
+                    stats,
+                    algorithm,
+                )
+            if _OBS.enabled:
+                wall = sp.duration or 0.0
+                done_wall += wall
+                remaining = len(shards) - position - 1
+                hit_rate = (
+                    (stats.cache_hits + stats.deduped - hits0) / shard.size
+                    if shard.size
+                    else 0.0
+                )
+                _obs_event(
+                    "shard.finished",
+                    shard=shard.index,
+                    wall=round(wall, 6),
+                    hit_rate=round(hit_rate, 4),
+                    rows=len(shard_rows),
+                    eta=round(done_wall / (position + 1) * remaining, 6),
+                )
+            _merge_rows(result, _shard_rows(shard_rows))
     if _OBS.enabled:
         _registry.inc("census.runs")
-        _registry.inc("census.shards_resumed", stats.shards_resumed)
     return CensusRun(result=result, stats=stats, cache=cache)
 
 
@@ -827,8 +636,6 @@ def census_queue_worker(
     max_shards: Optional[int] = None,
     wait: bool = True,
     poll: float = 0.5,
-    max_workers: Optional[int] = 1,
-    chunksize: int = 16,
     lease_ttl: Optional[float] = None,
 ) -> EngineStats:
     """Drain census shards from a queue until it is finished.
@@ -898,8 +705,6 @@ def census_queue_worker(
                         group_by,
                         measure_rounds,
                         default_keyer,
-                        max_workers,
-                        chunksize,
                         stats,
                         algorithm,
                     )
@@ -981,8 +786,6 @@ def distributed_census(
     cache_path: Optional[str] = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    max_workers: Optional[int] = 1,
-    chunksize: int = 16,
     poll: float = 0.2,
 ) -> CensusRun:
     """One-call distributed census: coordinator plus N local workers.
@@ -1017,11 +820,6 @@ def distributed_census(
     # close before forking: SQLite connections must not cross a fork
     queue.close()
     drain_with_local_workers(
-        queue_path,
-        census_queue_worker,
-        num_workers=num_workers,
-        poll=poll,
-        max_workers=max_workers,
-        chunksize=chunksize,
+        queue_path, census_queue_worker, num_workers=num_workers, poll=poll
     )
     return collect_census_queue(queue_path, wait=False)

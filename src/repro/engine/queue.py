@@ -667,9 +667,9 @@ def settled(queue_or_path, *, wait: bool, poll: float, timeout, strict: bool):
 
 
 def drain_with_local_workers(
-    queue_path: str, worker, *, num_workers: int, poll: float, **worker_kwargs
+    queue_path: str, worker, *, num_workers: int, poll: float
 ) -> None:
-    """Run ``worker(queue_path, wait=False, ...)`` in ``num_workers`` forks.
+    """Run ``worker(queue_path, wait=False)`` in ``num_workers`` forks.
 
     Each worker exits once nothing is leasable. After joining them, the
     drain guard repeats the call in-process every ``poll`` seconds until
@@ -678,7 +678,7 @@ def drain_with_local_workers(
     """
     import multiprocessing
 
-    kwargs = dict(worker_kwargs, wait=False)
+    kwargs = {"wait": False}
     procs = [
         multiprocessing.Process(
             target=worker, args=(queue_path,), kwargs=kwargs, daemon=True

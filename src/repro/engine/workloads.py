@@ -5,9 +5,9 @@ can be regenerated from any index range: ``len(w)`` gives its size and
 ``w.generate(start, stop)`` yields exactly the items a full enumeration
 would yield at positions ``start .. stop-1``. That property is what lets
 the sharded pipeline (:mod:`repro.engine.pipeline`) hold only one shard
-in memory at a time and resume an interrupted run without replaying the
-work that already checkpointed: a shard is fully described by its index
-range, never by materialized configurations.
+in memory at a time, and lets a queue worker in another process rebuild
+any shard it leases: a shard is fully described by its index range,
+never by materialized configurations.
 
 The module also hosts the seeded single-configuration builders shared by
 the test and benchmark harnesses (``seeded_config`` and friends), so both
@@ -95,10 +95,6 @@ class Workload:
         """Yield the configurations at flat positions ``start .. stop-1``."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Short human-readable label for logs and checkpoints."""
-        return f"{type(self).__name__}({len(self)} configs)"
-
     def estimate_cost(self, start: int, stop: int) -> float:
         """Cheap static cost estimate for the item range ``[start, stop)``.
 
@@ -133,9 +129,10 @@ class Workload:
 class RandomGnpWorkload(Workload):
     """Seeded random connected G(n, p) configurations with uniform tags.
 
-    Item order and seeding match
-    :func:`repro.analysis.census.random_census` exactly — ``samples``
-    configurations per entry of ``n_values``, n-major — so an engine
+    The population of :func:`repro.analysis.census.random_census`:
+    ``samples`` configurations per entry of ``n_values``, n-major. Item
+    order and seeding match the engine-free generator
+    :func:`repro.testing.random_census_configs` exactly, so an engine
     census over this workload is comparable row-for-row with the serial
     path.
     """
@@ -170,13 +167,6 @@ class RandomGnpWorkload(Workload):
         """Regenerate items ``start .. stop-1`` from their seeds."""
         for i in range(start, min(stop, len(self))):
             yield self._item(i)
-
-    def describe(self) -> str:
-        """e.g. ``gnp(n=[6, 8], span=2, p=0.3, 20/n, seed=1)``."""
-        return (
-            f"gnp(n={self.n_values}, span={self.span}, p={self.p}, "
-            f"{self.samples}/n, seed={self.seed})"
-        )
 
     def estimate_cost(self, start: int, stop: int) -> float:
         """~n³ per item, computed from indices alone (n-major layout)."""
@@ -225,11 +215,6 @@ class EnumerationWorkload(Workload):
         it = enumerate_configurations(self.n, self.max_tag, labeled=self.labeled)
         return islice(it, start, min(stop, self._count))
 
-    def describe(self) -> str:
-        """e.g. ``enum(n=4, tags 0..1)`` (``labeled`` noted when set)."""
-        suffix = ", labeled" if self.labeled else ""
-        return f"enum(n={self.n}, tags 0..{self.max_tag}{suffix})"
-
     def estimate_cost(self, start: int, stop: int) -> float:
         """~n³ per item (every item has the same size here)."""
         stop = min(stop, len(self))
@@ -253,7 +238,6 @@ class SequenceWorkload(Workload):
     ) -> None:
         self.configs = list(configs)
         self.label = label
-        self._digest: Optional[str] = None
 
     def __len__(self) -> int:
         """Number of stored configurations."""
@@ -262,27 +246,6 @@ class SequenceWorkload(Workload):
     def generate(self, start: int, stop: int) -> Iterator[Configuration]:
         """Yield the stored slice."""
         return iter(self.configs[start:stop])
-
-    def describe(self) -> str:
-        """Label (if given) plus a content digest.
-
-        Unlike the seeded workloads, a sequence is not identified by its
-        parameters, so the description digests the exact labeled
-        structure of every member — two different populations of the
-        same size can never fingerprint alike, which is what checkpoint
-        validation relies on. Computed once and memoized.
-        """
-        if self._digest is None:
-            import hashlib
-
-            from .keys import labeled_key
-
-            h = hashlib.sha256()
-            for cfg in self.configs:
-                h.update(labeled_key(cfg).encode("ascii"))
-            self._digest = h.hexdigest()[:16]
-        name = self.label or "sequence"
-        return f"{name}({len(self)} configs, {self._digest})"
 
     def estimate_cost(self, start: int, stop: int) -> float:
         """~n³ per stored item (the members are already materialized)."""

@@ -85,6 +85,24 @@ class BenchResult:
         return out
 
 
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    Prefers ``os.sched_getaffinity(0)`` — which reflects cgroup/affinity
+    limits, the number that matters inside containers and CI runners
+    where ``os.cpu_count()`` reports the whole host — and falls back to
+    ``os.cpu_count()`` on platforms without affinity support (macOS,
+    Windows) or when the call fails.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0))
+        except OSError:  # pragma: no cover - platform-specific failure
+            pass
+    return os.cpu_count() or 2
+
+
 def host_metadata() -> Dict[str, object]:
     """Where a benchmark number came from: interpreter, OS, core count.
 
@@ -94,8 +112,6 @@ def host_metadata() -> Dict[str, object]:
     unaffected). ``numpy`` is ``None`` when the accelerated stack is
     absent — those runs time the pure-Python paths.
     """
-    from ..analysis.parallel import available_cpus
-
     try:
         import numpy
 

@@ -225,8 +225,6 @@ class _AsyncBatchCore:
         max_batch: int,
         max_pending: int,
         batch_window: float,
-        max_workers: Optional[int],
-        chunksize: int,
         algorithm: str,
         on_batch: Optional[Callable[[int], None]] = None,
     ) -> None:
@@ -236,8 +234,6 @@ class _AsyncBatchCore:
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.batch_window = batch_window
-        self.max_workers = max_workers
-        self.chunksize = chunksize
         self.algorithm = algorithm
         self.on_batch = on_batch
         # Created lazily on the loop thread (see _ensure_queue): on
@@ -445,8 +441,6 @@ class _AsyncBatchCore:
                         measure_rounds=measure_rounds,
                         keyer=self.keyer,
                         precomputed_keys=[it.key for it in group],
-                        max_workers=self.max_workers,
-                        chunksize=self.chunksize,
                         stats=self.stats.engine,
                         algorithm=self.algorithm,
                     )
@@ -520,15 +514,6 @@ class BatchClassifier:
         seconds the dispatcher waits for stragglers after the queue runs
         dry — the latency price paid for larger, better-coalesced
         batches. 0 dispatches immediately.
-    max_workers / chunksize:
-        forwarded to :func:`repro.engine.batch_records` for cache-miss
-        classification (``max_workers=1`` stays serial in-process).
-        Caveat: each cold batch with more than ``chunksize`` unique
-        misses spins up a fresh process pool, whose startup cost runs
-        on the dispatcher and delays every queued request — worth it
-        only when single-configuration classification is expensive
-        (large n) and cold batches are big; duplicate-heavy or warm
-        traffic should stay serial.
     keyer:
         request coalescing granularity; the default collapses
         tag-preserving isomorphs at any size via the refinement
@@ -540,8 +525,8 @@ class BatchClassifier:
         bit-for-bit identical for every choice, so the knob is a pure
         throughput decision. ``auto`` (the default) resolves per
         cold miss-batch to the vectorized batch kernel when numpy is
-        importable and the run is in-process, and to the compiled core
-        otherwise (see :func:`repro.engine.batch_records`).
+        importable, and to the compiled core otherwise (see
+        :func:`repro.engine.batch_records`).
     on_batch:
         optional observer called with each executed batch's size (on
         the dispatcher thread) — the server wires its batch-size
@@ -555,8 +540,6 @@ class BatchClassifier:
         max_batch: int = 64,
         max_pending: int = 1024,
         batch_window: float = 0.002,
-        max_workers: Optional[int] = 1,
-        chunksize: int = 16,
         keyer: Keyer = default_keyer,
         algorithm: str = "auto",
         on_batch: Optional[Callable[[int], None]] = None,
@@ -588,8 +571,6 @@ class BatchClassifier:
             max_batch=max_batch,
             max_pending=max_pending,
             batch_window=batch_window,
-            max_workers=max_workers,
-            chunksize=chunksize,
             algorithm=algorithm,
             on_batch=on_batch,
         )

@@ -10,7 +10,9 @@ Hosts four things every differential suite wants but none should own:
   not as a wall of text. The classifier benchmarks (E23/E24) gate on the
   same assertions the test suite uses;
 * **workload generators** — the exhaustive :func:`sweep_configurations`
-  small-``n`` sweep, :func:`random_relabel`, and the hypothesis
+  small-``n`` sweep, :func:`random_census_configs` (the random census's
+  population, generated without the engine), :func:`random_relabel`,
+  and the hypothesis
   strategies :func:`configurations` / :func:`diverse_configurations`
   (guarded — hypothesis is an optional extra);
 * **the isomorphism-class oracle** — :func:`bruteforce_canonical_form`
@@ -193,6 +195,29 @@ def sweep_configurations(
 
     for n, max_tag in grid:
         yield from enumerate_configurations(n, max_tag)
+
+
+def random_census_configs(
+    n_values: Iterable[int], span: int, p: float, samples: int, seed: int
+) -> Iterator[Configuration]:
+    """The random census's population, generated without the engine.
+
+    ``samples`` seeded G(n, p) configurations per entry of ``n_values``,
+    n-major, seeded exactly as
+    :class:`~repro.engine.workloads.RandomGnpWorkload` seeds them but
+    written out independently of it, so ``census(random_census_configs(
+    ...), group_by=group_by_n)`` is the oracle for
+    :func:`repro.analysis.census.random_census`.
+    """
+    from .graphs.generators import build, random_connected_gnp_edges
+    from .graphs.tags import uniform_random
+
+    for n in n_values:
+        for s in range(samples):
+            base = seed + 7919 * s + 104729 * n
+            edges = random_connected_gnp_edges(n, p, base)
+            tags = uniform_random(range(n), span, base + 1)
+            yield build(edges, tags, n=n)
 
 
 def random_relabel(cfg: Configuration, seed: int) -> Configuration:

@@ -141,6 +141,17 @@ class TestInterop:
         with pytest.raises(ConfigurationError):
             Configuration.from_networkx(nx.path_graph(2))
 
+    def test_configuration_pickles_cleanly(self):
+        import pickle
+
+        from repro.core.classifier import is_feasible
+        from repro.graphs.enumeration import enumerate_configurations
+
+        cfg = list(enumerate_configurations(3, 1))[-1]
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone == cfg
+        assert is_feasible(clone) == is_feasible(cfg)
+
 
 class TestEquality:
     def test_equal_configs(self):

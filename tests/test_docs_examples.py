@@ -1,4 +1,5 @@
-"""Every fenced ``python`` block in the docs executes successfully.
+"""Every fenced ``python`` block in the docs executes successfully, and
+every documented ``repro-radio`` command line parses.
 
 Documentation is part of the public surface; an example that raises is
 a release blocker no matter what the unit tests say. This test walks
@@ -10,13 +11,20 @@ tagged ``python``, and executes it:
 * plain blocks run under ``exec`` in a fresh namespace.
 
 Both run with the current directory pointed at a temp dir, so examples
-may freely write files (``census.jsonl``, checkpoints, ...). Blocks
+may freely write files (``census.jsonl``, queue files, ...). Blocks
 tagged ``python no-run`` are skipped (none currently; the escape hatch
 exists for examples that would need external services).
+
+Command lines are only parsed (``build_parser().parse_args``), never
+run: every line of README.md, docs/*.md and the :mod:`repro.cli`
+docstring that starts with ``repro-radio`` (after an optional ``$``
+prompt), with ``\\`` continuations joined and any pipe, trailing ``&``
+or `` # `` comment cut off.
 """
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -85,3 +93,53 @@ def test_python_block_executes(path, line, info, code, tmp_path, monkeypatch):
             exec(compile(code, f"{path}:L{line}", "exec"), namespace)
         except Exception as exc:  # pragma: no cover - failure reporting
             pytest.fail(f"example at {path}:L{line} raised {exc!r}")
+
+
+def cli_commands():
+    """Yield (source, line-number, command) for every documented
+    ``repro-radio`` command line."""
+    import repro.cli
+
+    sources = [(p.relative_to(ROOT).as_posix(), p.read_text(encoding="utf-8"))
+               for p in DOC_FILES]
+    sources.append(("repro.cli", repro.cli.__doc__))
+    out = []
+    for source, text in sources:
+        lines = text.splitlines()
+        i = 0
+        while i < len(lines):
+            first, command = i, lines[i].strip()
+            while command.endswith("\\") and i + 1 < len(lines):
+                i += 1
+                command = command[:-1] + " " + lines[i].strip()
+            i += 1
+            command = command.removeprefix("$ ")
+            if command.startswith("repro-radio "):
+                out.append((source, first + 1, command))
+    return out
+
+
+COMMANDS = cli_commands()
+
+
+def test_docs_contain_cli_examples():
+    """Pin the corpus shape, as for the python blocks."""
+    sources = {source for source, _, _ in COMMANDS}
+    assert {"README.md", "docs/distributed.md", "repro.cli"} <= sources
+    assert len(COMMANDS) >= 30
+
+
+@pytest.mark.parametrize(
+    "source,line,command",
+    COMMANDS,
+    ids=[f"{s}:L{ln}" for s, ln, _ in COMMANDS],
+)
+def test_cli_example_parses(source, line, command):
+    from repro.cli import build_parser
+
+    command = command.split(" # ")[0].split(" | ")[0].strip()
+    argv = shlex.split(command.removesuffix("&"))[1:]
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{source}:L{line}: {command!r} does not parse")

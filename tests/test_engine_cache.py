@@ -185,6 +185,19 @@ class TestResultCache:
         assert len(c2) == 2
         assert "k3" not in c2
 
+    def test_put_after_a_torn_tail_keeps_its_record(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        ResultCache(path).put("a", {"v": 1})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key":"torn","rec')  # crashed mid-append
+        reopened = ResultCache(path)
+        reopened.put("b", {"v": 2})
+        reopened.close()
+        cache = ResultCache(path)
+        assert cache.peek("a") == {"v": 1} and cache.peek("b") == {"v": 2}
+        assert cache.compact() == 1  # only the torn line goes
+        assert len(ResultCache(path)) == 2
+
     def test_last_line_wins_on_duplicate_keys(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         with open(path, "w", encoding="utf-8") as fh:

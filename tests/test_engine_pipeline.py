@@ -1,17 +1,15 @@
-"""Sharded census pipeline: equality with the serial path, resume, CLI.
+"""Sharded census pipeline: equality with the serial path, CLI.
 
 The pipeline's contract is bit-for-bit equality with
-:func:`repro.analysis.census.census` for every shard count, worker
-count, cache state, and resume history — these tests pin that contract,
-including on the rendered table bytes.
+:func:`repro.analysis.census.census` for every shard count and cache
+state — these tests pin that contract, including on the rendered table
+bytes. ``tests/test_census_paths.py`` extends it across every way to
+run a census, the work queue and its resume included.
 """
-
-import json
-import os
 
 import pytest
 
-from repro.analysis.census import census, random_census
+from repro.analysis.census import census, group_by_n, random_census
 from repro.engine import (
     EnumerationWorkload,
     RandomGnpWorkload,
@@ -22,6 +20,7 @@ from repro.engine import (
     sharded_census,
 )
 from repro.reporting.tables import format_table
+from repro.testing import random_census_configs
 
 from conftest import random_config_batch
 
@@ -77,9 +76,11 @@ class TestWorkloads:
         assert sliced == full
 
     def test_random_workload_matches_serial_census_order(self, workload):
-        # same seeding formula as random_census -> comparable row-for-row
-        direct = random_census(
-            [5, 6, 7], span=2, p=0.3, samples=8, seed=11, use_engine=False
+        # same seeding formula as the engine-free oracle generator ->
+        # comparable row-for-row
+        direct = census(
+            random_census_configs([5, 6, 7], span=2, p=0.3, samples=8, seed=11),
+            group_by=group_by_n,
         )
         engine = sharded_census(workload, group_by=lambda c: c.n, num_shards=4)
         assert engine.result.rows == direct.rows
@@ -105,13 +106,6 @@ class TestEquality:
         run = sharded_census(workload, num_shards=num_shards, measure_rounds=True)
         assert run.result.rows == serial.rows
         assert render(run.result) == render(serial)  # byte-identical table
-
-    def test_parallel_workers_bit_for_bit(self, workload, serial):
-        run = sharded_census(
-            workload, num_shards=3, max_workers=2, measure_rounds=True
-        )
-        assert run.result.rows == serial.rows
-        assert render(run.result) == render(serial)
 
     def test_warm_cache_bit_for_bit(self, workload, serial):
         cache = ResultCache()
@@ -169,158 +163,10 @@ class TestEquality:
 
     def test_random_census_engine_default_equals_reference(self):
         kw = dict(span=2, p=0.3, samples=6, seed=4)
-        reference = random_census([5, 6], use_engine=False, **kw)
-        engine = random_census([5, 6], **kw)  # default: engine path
-        sharded = random_census([5, 6], num_shards=3, max_workers=2, **kw)
+        reference = census(random_census_configs([5, 6], **kw), group_by=group_by_n)
+        engine = random_census([5, 6], **kw)
+        sharded = random_census([5, 6], num_shards=3, **kw)
         assert render(engine) == render(reference) == render(sharded)
-
-
-# ----------------------------------------------------------------------
-# resume semantics
-# ----------------------------------------------------------------------
-class TestResume:
-    def test_full_resume_replays_checkpoints(self, tmp_path, workload, serial):
-        ckpt = str(tmp_path / "ckpt")
-        first = sharded_census(
-            workload, num_shards=4, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        assert sorted(os.listdir(ckpt)) == [
-            f"shard-{i:05d}.json" for i in range(4)
-        ]
-        resumed = sharded_census(
-            workload,
-            num_shards=4,
-            checkpoint_dir=ckpt,
-            cache=ResultCache(),  # fresh cache: rows come from checkpoints
-            measure_rounds=True,
-        )
-        assert resumed.stats.shards_resumed == 4
-        assert resumed.stats.classified == 0
-        assert render(resumed.result) == render(first.result) == render(serial)
-
-    def test_partial_resume_recomputes_missing_shard(
-        self, tmp_path, workload, serial
-    ):
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(
-            workload, num_shards=4, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        os.remove(os.path.join(ckpt, "shard-00002.json"))  # "interrupted" run
-        resumed = sharded_census(
-            workload,
-            num_shards=4,
-            checkpoint_dir=ckpt,
-            cache=ResultCache(),
-            measure_rounds=True,
-        )
-        assert resumed.stats.shards_resumed == 3
-        assert resumed.stats.classified > 0
-        assert render(resumed.result) == render(serial)
-
-    def test_mismatched_options_invalidate_checkpoints(self, tmp_path, workload):
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        # different measure_rounds -> fingerprints differ -> recompute
-        rerun = sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=False
-        )
-        assert rerun.stats.shards_resumed == 0
-
-    def test_different_group_by_invalidates_checkpoints(self, tmp_path, workload):
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(workload, num_shards=2, checkpoint_dir=ckpt)
-        rerun = sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, group_by=lambda c: c.n
-        )
-        # grouping changed -> fingerprints differ -> rows recomputed
-        assert rerun.stats.shards_resumed == 0
-        assert set(rerun.result.rows) == {5, 6, 7}
-
-    def test_different_sequence_population_invalidates_checkpoints(
-        self, tmp_path
-    ):
-        ckpt = str(tmp_path / "ckpt")
-        pop_a = SequenceWorkload(random_config_batch(8, base_seed=1, n_hi=5))
-        pop_b = SequenceWorkload(random_config_batch(8, base_seed=99, n_hi=5))
-        sharded_census(pop_a, num_shards=2, checkpoint_dir=ckpt)
-        rerun = sharded_census(pop_b, num_shards=2, checkpoint_dir=ckpt)
-        # same size, different configs -> content digest differs -> recompute
-        assert rerun.stats.shards_resumed == 0
-        assert rerun.result.rows == census(iter(pop_b)).rows
-
-    def test_enumeration_labeled_flag_changes_fingerprint(self):
-        plain = EnumerationWorkload(3, 1)
-        labeled = EnumerationWorkload(3, 1, labeled=True)
-        assert plain.describe() != labeled.describe()
-
-    def test_different_shard_count_ignores_stale_files(self, tmp_path, workload, serial):
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(
-            workload, num_shards=4, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        rerun = sharded_census(
-            workload, num_shards=3, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        # shard ranges moved, so old files fail validation, results stay right
-        assert render(rerun.result) == render(serial)
-
-    def test_corrupt_checkpoint_recomputed(self, tmp_path, workload, serial):
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        with open(os.path.join(ckpt, "shard-00000.json"), "w") as fh:
-            fh.write("{not json")
-        rerun = sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        assert rerun.stats.shards_resumed == 1
-        assert render(rerun.result) == render(serial)
-
-    def test_truncated_checkpoint_recomputed(self, tmp_path, workload, serial):
-        """A checkpoint torn mid-write (e.g. the disk filled, or the
-        file was copied while being written) resumes by recomputing the
-        shard, never by crashing or merging partial rows."""
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        path = os.path.join(ckpt, "shard-00001.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            full = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(full[: len(full) // 2])  # torn: valid prefix, no tail
-        rerun = sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        assert rerun.stats.shards_resumed == 1
-        assert render(rerun.result) == render(serial)
-
-    def test_wrong_shape_checkpoint_recomputed(self, tmp_path, workload, serial):
-        """Valid JSON of the wrong shape (hand-edited, foreign tool) is
-        treated as stale, not trusted."""
-        ckpt = str(tmp_path / "ckpt")
-        first = sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        path = os.path.join(ckpt, "shard-00000.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        obj["rows"] = {"not": "a list"}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-        rerun = sharded_census(
-            workload, num_shards=2, checkpoint_dir=ckpt, measure_rounds=True
-        )
-        assert rerun.stats.shards_resumed == 1
-        assert render(rerun.result) == render(first.result) == render(serial)
-
-    def test_checkpoint_write_leaves_no_temp_files(self, tmp_path, workload):
-        ckpt = str(tmp_path / "ckpt")
-        sharded_census(workload, num_shards=3, checkpoint_dir=ckpt)
-        assert all(".tmp" not in name for name in os.listdir(ckpt))
 
 
 # ----------------------------------------------------------------------
@@ -365,24 +211,3 @@ class TestCli:
         self.run_census(capsys, "--cache", cache)
         out = self.run_census(capsys, "--cache", cache)
         assert "0 classified" in out  # second CLI run fully cache-served
-
-    def test_census_checkpoint_resume(self, capsys, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        self.run_census(capsys, "--shards", "2", "--checkpoint", ckpt)
-        out = self.run_census(capsys, "--shards", "2", "--checkpoint", ckpt)
-        assert "2 resumed" in out
-
-    def test_cli_checkpoints_resumable_from_api(self, capsys, tmp_path):
-        # CLI and random_census share group_by_n, so their checkpoint
-        # fingerprints are interchangeable for the same census
-        from repro.analysis.census import group_by_n
-
-        ckpt = str(tmp_path / "ckpt")
-        self.run_census(capsys, "--shards", "2", "--checkpoint", ckpt)
-        run = sharded_census(
-            RandomGnpWorkload([5, 6], span=2, p=0.3, samples=6, seed=2),
-            group_by=group_by_n,
-            num_shards=2,
-            checkpoint_dir=ckpt,
-        )
-        assert run.stats.shards_resumed == 2

@@ -368,7 +368,7 @@ def test_drain_guard_finishes_a_dead_owners_shard(tmp_path):
 
 def test_drain_guard_passes_the_worker_kwargs(tmp_path):
     """The in-process drain calls the worker exactly as the forked
-    workers are called: the caller's kwargs plus ``wait=False``."""
+    workers are called: with ``wait=False`` and nothing else."""
     wl = RandomGnpWorkload([5], span=2, p=0.3, samples=4, seed=2)
     path = str(tmp_path / "census.sqlite")
     create_census_queue(path, wl, num_shards=2).close()
@@ -378,10 +378,8 @@ def test_drain_guard_passes_the_worker_kwargs(tmp_path):
         calls.append(kwargs)
         return census_queue_worker(queue_path, **kwargs)
 
-    drain_with_local_workers(
-        path, worker, num_workers=0, poll=0.01, max_workers=1, chunksize=4
-    )
-    assert calls == [{"max_workers": 1, "chunksize": 4, "wait": False}]
+    drain_with_local_workers(path, worker, num_workers=0, poll=0.01)
+    assert calls == [{"wait": False}]
     with WorkQueue(path) as q:
         assert q.finished()
 

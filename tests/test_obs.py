@@ -5,8 +5,7 @@ span nesting and exception capture, the closed JSONL event schema
 (including a hypothesis round-trip — arbitrary span trees survive
 write → parse → summarize), the disabled-mode no-op identity, registry
 group parity with the legacy ``as_dict`` surfaces, and the census
-progress events (``shard.resumed`` on checkpoint replay, not
-``shard.started``).
+progress events (``shard.started``/``shard.finished`` once per shard).
 """
 
 import json
@@ -259,32 +258,16 @@ def test_registry_counters_gauges_and_heartbeats():
 
 
 # ----------------------------------------------------------------------
-# census progress events: resume says resumed, not started
+# census progress events: each shard starts and finishes once
 # ----------------------------------------------------------------------
-def test_census_resume_emits_shard_resumed(tmp_path):
+def test_census_emits_shard_started_and_finished(tmp_path):
     cfgs = random_config_batch(18, base_seed=11)
-    ckpt = tmp_path / "ckpt"
-
-    tracer = obs.enable(trace_path=str(tmp_path / "first.jsonl"))
-    first = sharded_census(
-        cfgs, num_shards=3, cache=ResultCache(), checkpoint_dir=str(ckpt)
-    )
+    tracer = obs.enable(trace_path=str(tmp_path / "census.jsonl"))
+    sharded_census(cfgs, num_shards=3, cache=ResultCache())
     obs.disable()
     names = [e["name"] for e in tracer.events if e["kind"] == "event"]
     assert names.count("shard.started") == 3
     assert names.count("shard.finished") == 3
-    assert "shard.resumed" not in names
-
-    tracer = obs.enable(trace_path=str(tmp_path / "second.jsonl"))
-    second = sharded_census(
-        cfgs, num_shards=3, cache=ResultCache(), checkpoint_dir=str(ckpt)
-    )
-    obs.disable()
-    names = [e["name"] for e in tracer.events if e["kind"] == "event"]
-    assert names.count("shard.resumed") == 3
-    assert "shard.started" not in names and "shard.finished" not in names
-    assert second.result.rows == first.result.rows
-    assert second.stats.shards_resumed == 3
 
 
 def test_traced_census_summary_has_shard_rows(tmp_path):

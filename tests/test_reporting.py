@@ -1,7 +1,11 @@
 """Unit tests for the reporting helpers."""
 
+import os
+
 import pytest
 
+import repro.reporting.bench as bench_mod
+from repro.reporting.bench import available_cpus
 from repro.reporting.series import ascii_chart, series_table, slope_annotation
 from repro.reporting.tables import format_table, kv_block
 
@@ -76,3 +80,44 @@ class TestSeries:
 
     def test_slope_na(self):
         assert "n/a" in slope_annotation([1], [1])
+
+
+class TestAvailableCpus:
+    """Container-awareness of the CPU count benchmarks record and gate
+    on: prefer the affinity mask (the cgroup/CI-correct number), fall
+    back to ``os.cpu_count()`` where the platform has no affinity
+    support."""
+
+    def test_prefers_sched_getaffinity(self, monkeypatch):
+        monkeypatch.setattr(
+            bench_mod.os, "sched_getaffinity", lambda pid: {0, 3, 7}
+        )
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 64)
+        assert available_cpus() == 3
+
+    def test_falls_back_without_affinity_support(self, monkeypatch):
+        monkeypatch.delattr(bench_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 6)
+        assert available_cpus() == 6
+
+    def test_falls_back_when_cpu_count_unknown(self, monkeypatch):
+        monkeypatch.delattr(bench_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: None)
+        assert available_cpus() == 2
+
+    def test_single_affinity_cpu_counts_one(self, monkeypatch):
+        monkeypatch.setattr(
+            bench_mod.os, "sched_getaffinity", lambda pid: {5}
+        )
+        assert available_cpus() == 1
+
+    def test_matches_real_platform(self):
+        """On this platform the helper agrees with whichever source it
+        actually selected — both branches covered above, this pins the
+        live wiring."""
+        expected = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else (os.cpu_count() or 2)
+        )
+        assert available_cpus() == expected

@@ -248,7 +248,6 @@ def test_cli_serve_parser_defaults():
     assert args.func.__name__ == "cmd_serve"
     assert args.host == "127.0.0.1" and args.port == 0
     assert args.max_batch == 64 and args.max_pending == 1024
-    assert args.workers == 1
     assert args.max_connections == 128
     assert args.request_timeout == 30.0
     assert args.drain_timeout == 5.0
