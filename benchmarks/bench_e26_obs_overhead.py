@@ -16,6 +16,10 @@ The acceptance gates of the :mod:`repro.obs` tracing/telemetry layer:
 2. **Enabled ≤ 15% overhead** — the same census with full JSONL
    tracing enabled finishes within ``OVERHEAD_CEILING`` (1.15×) of the
    disabled wall time, best-of-``PASSES`` on each side, interleaved.
+   The tracer writes its log in batches, and the traced census emits
+   fewer events than one batch, so its lines are serialized and
+   written at ``obs.disable()``, after the timer stops: the ceiling
+   bounds building the events, not writing them.
 3. **Round-trip** — the event log written during the timed enabled
    run validates against the closed schema and renders through
    :func:`repro.obs.summarize_file` with per-shard rows intact.

@@ -62,12 +62,13 @@ BASE_SEED = 20260808
 def timed_workload() -> RandomGnpWorkload:
     """Cold census workload: 3,000 seeded G(n, p) samples at n = 30..32.
 
-    Each configuration costs about 0.9 ms end to end on a 2-CPU x86-64
-    host (generation ~0.3 ms, keying, batch classification, cache), so
-    the serial run takes about 2.7 s and each of the 16 shards ~170 ms
-    of real work: process-spawn and queue overhead amortize, and a
-    worker holding a lease is still mid-shard when the SIGKILL gate
-    looks.
+    The census only classifies, so it computes no canonical keys and
+    uses no cache. Each configuration costs about 0.3 ms end to end on
+    a 2-CPU x86-64 host (generation and normalization ~0.25 ms, batch
+    classification the rest), so the serial in-process run takes about
+    0.9 s and each of the 16 shards ~60 ms of real work: process-spawn
+    and queue overhead amortize, and a worker holding a lease is still
+    mid-shard when the SIGKILL gate looks.
     """
     return RandomGnpWorkload(
         [30, 31, 32], span=2, p=0.25, samples=1000, seed=BASE_SEED

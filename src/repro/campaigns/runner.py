@@ -54,6 +54,7 @@ from ..engine.queue import (
     settled,
 )
 from ..obs.runtime import STATE as _OBS
+from ..obs.runtime import flush as _obs_flush
 from ..obs.runtime import registry as _registry
 from ..obs.runtime import span as _obs_span
 from ..radio.backends import SimulationTimeout
@@ -510,7 +511,8 @@ def campaign_queue_worker(
     Individual trial failures are *recorded results*, not worker
     errors — only a whole-shard crash (or worker death, via lease
     expiry) sends a shard back for retry. Returns the number of trials
-    this worker committed.
+    this worker committed, after writing its pending trace events
+    (a forked worker exits without closing the tracer).
     """
     queue = WorkQueue(queue_path, lease_ttl=lease_ttl)
     trials = 0
@@ -546,6 +548,7 @@ def campaign_queue_worker(
                 break
     finally:
         queue.close()
+        _obs_flush()
     return trials
 
 

@@ -15,9 +15,9 @@ adversarial robustness campaigns with replayable bundles).
     repro-radio classify --family hm:3
     repro-radio elect --family gm:2 --verbose
     repro-radio census --n 6,8,10 --span 2 --p 0.3 --samples 20 --seed 1
-    repro-radio census --n 8 --samples 200 --shards 8 --cache census.jsonl
+    repro-radio census --n 8 --samples 200 --shards 8 --rounds --cache census.jsonl
     repro-radio census --n 8 --samples 200 --queue census.sqlite --workers 4 \\
-        --cache census.jsonl
+        --rounds --cache census.jsonl
     repro-radio serve --port 8765 --cache service.jsonl
     repro-radio defeat
 
@@ -368,6 +368,16 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise SystemExit("census: --shards must be >= 1")
     if args.compact_cache and not args.cache:
         raise SystemExit("census: --compact-cache requires --cache")
+    if args.cache and not args.rounds:
+        raise SystemExit(
+            "census: --cache requires --rounds (a census that only "
+            "classifies computes no keys and uses no cache)"
+        )
+    if args.compact_cache and args.queue:
+        raise SystemExit(
+            "census: --compact-cache does not apply to --queue runs "
+            "(compact the cache with an in-process --rounds census)"
+        )
     if args.queue is None and args.role != "auto":
         raise SystemExit("census: --role requires --queue")
     if args.queue is None and args.workers is not None:
@@ -944,7 +954,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, help="split the workload into N shards"
     )
     p.add_argument(
-        "--cache", help="JSONL classification cache file (reused across runs)"
+        "--cache",
+        help=(
+            "JSONL classification cache file, reused across runs "
+            "(requires --rounds: a census that only classifies uses no cache)"
+        ),
     )
     p.add_argument(
         "--workers",
@@ -995,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-cache",
         action="store_true",
         help=(
-            "after the census, atomically rewrite the --cache JSONL "
-            "store dropping superseded duplicate keys"
+            "after an in-process census, atomically rewrite the --cache "
+            "JSONL store dropping superseded duplicate keys"
         ),
     )
     p.add_argument(

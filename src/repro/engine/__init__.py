@@ -7,8 +7,9 @@ from throwaway sweeps into accumulating, resumable artifacts:
   isomorphic configurations to one cache entry, at any size, via the
   refinement canonizer (:mod:`repro.canon`);
 * :mod:`repro.engine.cache` — an in-memory LRU with an optional
-  append-only JSONL store, so repeated and resumed censuses are
-  near-free;
+  append-only JSONL store, so repeated rounds censuses and service
+  requests are near-free (a census that only classifies computes no
+  key and uses no cache: the key would cost more than it saves);
 * :mod:`repro.engine.workloads` — deterministic, slice-regenerable
   workload descriptions (random G(n, p) sweeps, exhaustive
   enumerations) that shards can regenerate without materializing the
@@ -27,12 +28,16 @@ Quickstart::
     >>> from repro.engine import RandomGnpWorkload, ResultCache, sharded_census
     >>> workload = RandomGnpWorkload([6, 8], span=2, p=0.3, samples=10, seed=1)
     >>> cache = ResultCache()                      # add path=... to persist
-    >>> run = sharded_census(workload, num_shards=4, cache=cache)
+    >>> run = sharded_census(workload, num_shards=4, cache=cache,
+    ...                      measure_rounds=True)
     >>> run.result.total
     20
-    >>> rerun = sharded_census(workload, num_shards=4, cache=cache)
+    >>> rerun = sharded_census(workload, num_shards=4, cache=cache,
+    ...                        measure_rounds=True)
     >>> rerun.stats.classified                     # second run: all cache hits
     0
+    >>> sharded_census(workload).stats.classified  # classify-only: no keys
+    20
 """
 
 from .cache import CacheStats, ResultCache

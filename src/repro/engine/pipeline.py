@@ -1,10 +1,17 @@
 """Sharded, cached census pipeline.
 
 The pipeline splits a :class:`~repro.engine.workloads.Workload` into
-deterministic contiguous shards, classifies each shard through the
-canonical-form cache, and streams only the *aggregated* per-shard rows
-to the merger — memory is bounded by one shard plus the row table,
-never by the population size.
+deterministic contiguous shards, classifies each shard, and streams
+only the *aggregated* per-shard rows to the merger — memory is bounded
+by one shard plus the row table, never by the population size.
+
+How a shard is classified depends on what its records carry. A census
+that measures election rounds goes through the canonical-form cache
+(:func:`batch_records`): a hit saves the classification *and* the
+election, which costs more than the key. A census that only classifies
+computes no key and does no cache lookup — it batch-classifies every
+configuration, because a canonical key costs several times the batch
+classification a hit would save (``docs/performance.md``).
 
 For any shard count, worker count, and cache state, the merged
 :class:`~repro.analysis.census.CensusResult` equals what the serial
@@ -31,6 +38,7 @@ from ..core.configuration import Configuration
 from ..core.election import elect_leader
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import event as _obs_event
+from ..obs.runtime import flush as _obs_flush
 from ..obs.runtime import registry as _registry
 from ..obs.runtime import span as _obs_span
 from .cache import ResultCache
@@ -343,8 +351,9 @@ def batch_records(
     """
     if stats is None:
         stats = EngineStats()
-    if not _OBS.enabled:
-        return _batch_records_impl(
+    return _engine_batch(
+        stats,
+        lambda: _batch_records_impl(
             configs,
             cache,
             measure_rounds=measure_rounds,
@@ -352,18 +361,24 @@ def batch_records(
             precomputed_keys=precomputed_keys,
             stats=stats,
             algorithm=algorithm,
-        )
+        ),
+    )
+
+
+def _engine_batch(
+    stats: EngineStats, body: Callable[[], List[Dict]]
+) -> List[Dict]:
+    """Run ``body`` as one traced engine batch and return its records.
+
+    Traced, the batch is an ``engine.batch`` span whose counters carry
+    the deltas ``body`` made to ``stats``, mirrored into the registry's
+    ``engine.*`` counters; untraced, the cost is one attribute check.
+    """
+    if not _OBS.enabled:
+        return body()
     hits0, dedup0, class0 = stats.cache_hits, stats.deduped, stats.classified
     with _obs_span("engine.batch") as sp:
-        records = _batch_records_impl(
-            configs,
-            cache,
-            measure_rounds=measure_rounds,
-            keyer=keyer,
-            precomputed_keys=precomputed_keys,
-            stats=stats,
-            algorithm=algorithm,
-        )
+        records = body()
         sp.add("items", len(records))
         sp.add("cache_hits", stats.cache_hits - hits0)
         sp.add("deduped", stats.deduped - dedup0)
@@ -373,6 +388,26 @@ def batch_records(
     _registry.inc("engine.cache_hits", stats.cache_hits - hits0)
     _registry.inc("engine.classified", stats.classified - class0)
     return records
+
+
+def _classify_records(
+    configs: List[Configuration], measure_rounds: bool, algorithm: str
+) -> List[Dict]:
+    """One :func:`census_record` per normalized configuration, in order.
+
+    The batch kernel classifies them in one lockstep call exactly when
+    :func:`repro.core.batch.resolve_batch_algorithm` resolves
+    ``algorithm`` to ``"batch"``; any other choice classifies them one
+    :func:`census_record` at a time. Both give bit-for-bit equal records.
+    """
+    from ..core.batch import batch_census_records, resolve_batch_algorithm
+
+    if resolve_batch_algorithm(algorithm) == "batch":
+        return batch_census_records(configs, measure_rounds=measure_rounds)
+    return [
+        census_record(cfg, measure_rounds=measure_rounds, algorithm=algorithm)
+        for cfg in configs
+    ]
 
 
 def _batch_records_impl(
@@ -417,20 +452,9 @@ def _batch_records_impl(
 
     if pending:
         missing = list(pending)
-        miss_configs = [pending[k] for k in missing]
-        from ..core.batch import batch_census_records, resolve_batch_algorithm
-
-        if resolve_batch_algorithm(algorithm) == "batch":
-            records = batch_census_records(
-                miss_configs, measure_rounds=measure_rounds
-            )
-        else:
-            records = [
-                census_record(
-                    cfg, measure_rounds=measure_rounds, algorithm=algorithm
-                )
-                for cfg in miss_configs
-            ]
+        records = _classify_records(
+            [pending[k] for k in missing], measure_rounds, algorithm
+        )
         for key, record in zip(missing, records):
             records_by_key[key] = record
             cache.put(key, record)
@@ -442,17 +466,21 @@ def _batch_records_impl(
 def _classify_shard(
     shard: ShardSpec,
     workload: Workload,
-    cache: ResultCache,
+    cache: Optional[ResultCache],
     group_by: GroupBy,
     measure_rounds: bool,
     keyer: Keyer,
     stats: EngineStats,
     algorithm: str,
 ) -> Dict[object, CensusRow]:
-    """Classify one shard through the cache; return its aggregated rows."""
-    # Stream the shard through batch_records: it consumes configurations
-    # one at a time, so per-shard memory stays at the (group, key-string)
-    # level plus the unique cache misses — never the materialized shard.
+    """Classify one shard; return its aggregated rows.
+
+    A rounds census goes through ``cache`` (:func:`batch_records`), which
+    consumes the stream one configuration at a time, so per-shard memory
+    stays at the (group, key-string) level plus the unique misses. A
+    classify-only census computes no key, never touches ``cache`` (it
+    may be None), and classifies the whole normalized shard in one call.
+    """
     groups: List[object] = []
 
     def shard_stream():
@@ -461,14 +489,24 @@ def _classify_shard(
             groups.append(group_by(normalized))
             yield normalized
 
-    records = batch_records(
-        shard_stream(),
-        cache,
-        measure_rounds=measure_rounds,
-        keyer=keyer,
-        stats=stats,
-        algorithm=algorithm,
-    )
+    if measure_rounds:
+        records = batch_records(
+            shard_stream(),
+            cache,
+            measure_rounds=True,
+            keyer=keyer,
+            stats=stats,
+            algorithm=algorithm,
+        )
+    else:
+        configs = list(shard_stream())
+
+        def classify_all() -> List[Dict]:
+            records = _classify_records(configs, False, algorithm)
+            stats.classified += len(records)
+            return records
+
+        records = _engine_batch(stats, classify_all)
 
     rows: Dict[object, CensusRow] = {}
     for group, record in zip(groups, records):
@@ -492,7 +530,7 @@ def sharded_census(
     keyer: Keyer = default_keyer,
     algorithm: str = "auto",
 ) -> CensusRun:
-    """Run a census in-process through the sharded, cached pipeline.
+    """Run a census in-process through the sharded pipeline.
 
     Parameters
     ----------
@@ -503,25 +541,33 @@ def sharded_census(
     group_by:
         aggregation key, applied to the *normalized* configuration;
         defaults to ``(n, span)`` like the serial census.
+    measure_rounds:
+        also run the dedicated election of every feasible
+        configuration. Only such a census keys its configurations and
+        goes through ``cache``; a classify-only census classifies every
+        configuration and leaves ``cache`` untouched (``stats`` then
+        counts every item as classified).
     num_shards:
         how many contiguous shards to split the workload into. Shard
         boundaries never change results — only peak memory and the
         granularity of the per-shard trace events.
     cache:
-        shared :class:`~repro.engine.cache.ResultCache`; a private
-        in-memory cache is created when omitted, so even a one-shot run
-        gets intra-run isomorphism dedup.
+        shared :class:`~repro.engine.cache.ResultCache` for a rounds
+        census; a private in-memory one is created when omitted, so even
+        a one-shot rounds census gets intra-run isomorphism dedup.
+        Returned as :attr:`CensusRun.cache`.
+    keyer:
+        cache key of a rounds census (:mod:`repro.engine.keys`).
     algorithm:
-        classifier implementation for cache misses (see
-        :func:`batch_records`); every choice yields bit-for-bit the
-        same records, so caches written under one knob replay under
-        any other.
+        classifier implementation (see :func:`batch_records`); every
+        choice yields bit-for-bit the same records, so caches written
+        under one knob replay under any other.
 
     To resume an interrupted census, or to spread one over processes,
     run it through the work queue instead (:func:`distributed_census`).
     """
     workload = as_workload(workload)
-    if cache is None:
+    if cache is None and measure_rounds:
         cache = ResultCache()
     total = len(workload)
     shards = plan_shards(total, num_shards)
@@ -596,9 +642,11 @@ def create_census_queue(
     needs to reconstruct the run: the workload spec
     (:meth:`~repro.engine.workloads.Workload.to_spec`), the census
     options, the grouping *name* (see :func:`register_grouping`), and
-    the shared JSONL cache path (``None`` means every worker keeps a
-    private in-memory cache). Each shard is enqueued with the workload's
-    static cost estimate so the scheduler can rank by expected yield.
+    the shared JSONL cache path. Only a ``measure_rounds`` census uses
+    the cache (``None`` means every worker keeps a private in-memory
+    one); a classify-only census's workers never open it. Each shard is
+    enqueued with the workload's static cost estimate so the scheduler
+    can rank by expected yield.
 
     Creation is idempotent: re-running the coordinator against a queue
     holding the *same* run resumes it; a different run at the same path
@@ -642,7 +690,10 @@ def census_queue_worker(
 
     The worker half of a distributed census: opens the queue at
     ``queue_path``, rebuilds the workload and census options from the
-    queue metadata, and loops lease → classify → commit. A background
+    queue metadata, and loops lease → classify → commit. A
+    ``measure_rounds`` queue's worker classifies through the queue's
+    cache; a classify-only one opens no cache and computes no key (see
+    :func:`sharded_census`). A background
     thread heartbeats the active lease, so a slow shard is never
     reclaimed from a live worker; a classification error fails the
     shard back to the queue (retried elsewhere up to the attempt cap)
@@ -656,7 +707,10 @@ def census_queue_worker(
 
     Returns this worker's :class:`EngineStats` (its own shards only).
     Safe to run many of these concurrently — in processes, threads, or
-    across machines sharing the queue file's filesystem.
+    across machines sharing the queue file's filesystem. Before
+    returning, the worker writes its pending trace events
+    (:func:`repro.obs.flush`): a forked worker exits without closing
+    the tracer.
     """
     queue = WorkQueue(queue_path, lease_ttl=lease_ttl)
     cache: Optional[ResultCache] = None
@@ -679,8 +733,9 @@ def census_queue_worker(
             ) from None
         measure_rounds = bool(meta.get("measure_rounds", False))
         algorithm = str(meta.get("algorithm", "auto"))
-        cache_path = meta.get("cache")
-        cache = ResultCache(cache_path) if cache_path else ResultCache()
+        if measure_rounds:
+            cache_path = meta.get("cache")
+            cache = ResultCache(cache_path) if cache_path else ResultCache()
         owner = owner or default_owner()
         done = 0
         while True:
@@ -729,6 +784,7 @@ def census_queue_worker(
         if cache is not None:
             cache.close()
         queue.close()
+        _obs_flush()
     return stats
 
 
@@ -800,7 +856,9 @@ def distributed_census(
     permanently failed shards.
 
     ``num_shards`` defaults to ``4 * num_workers`` so the scheduler has
-    slack to balance uneven shard costs across workers.
+    slack to balance uneven shard costs across workers. ``cache_path``
+    serves a ``measure_rounds`` census only (see
+    :func:`create_census_queue`).
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")

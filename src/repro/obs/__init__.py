@@ -34,6 +34,7 @@ from .runtime import (
     disable,
     enable,
     event,
+    flush,
     registry,
     render_prometheus,
     snapshot,
@@ -65,6 +66,7 @@ __all__ = [
     "disable",
     "enable",
     "event",
+    "flush",
     "iter_events",
     "read_events",
     "registry",

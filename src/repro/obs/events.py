@@ -163,27 +163,39 @@ def sanitize_attrs(attrs: Dict[str, object]) -> Dict[str, object]:
 def iter_events(path: str, *, validate: bool = True) -> Iterator[Dict]:
     """Stream events from a JSONL log, validating each by default.
 
-    Blank lines are skipped; a line that is not valid JSON, or (with
-    ``validate``) an event violating the schema, raises
-    :class:`EventSchemaError` naming its line number.
+    Blank lines are skipped, and so is a line a writer left torn when it
+    died mid-write: a final line that lacks its newline and does not
+    parse, or an unparseable line followed by a blank line (the mark a
+    :class:`~repro.obs.tracing.Tracer` leaves when it appends after a
+    torn line). The events around it stand. Any other line that is not
+    valid JSON, or (with ``validate``) an event violating the schema,
+    raises :class:`EventSchemaError` naming its line number.
     """
+    torn = None  # an unparseable line's error, judged by what follows it
+    raw = ""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line:
+                torn = None
                 continue
+            if torn is not None:
+                raise torn
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise EventSchemaError(
+                torn = EventSchemaError(
                     f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from None
+                )
+                continue
             if validate:
                 try:
                     validate_event(obj)
                 except EventSchemaError as exc:
                     raise EventSchemaError(f"{path}:{lineno}: {exc}") from None
             yield obj
+    if torn is not None and raw.endswith("\n"):
+        raise torn
 
 
 def read_events(path: str, *, validate: bool = True) -> List[Dict]:

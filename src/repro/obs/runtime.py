@@ -24,6 +24,7 @@ enabled guard.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Optional
 
 from .registry import MetricsRegistry
@@ -78,6 +79,22 @@ def disable() -> Optional[Tracer]:
     if tracer is not None:
         tracer.close()
     return tracer
+
+
+def flush() -> None:
+    """Write the active tracer's pending events to its log now.
+
+    It runs before every ``os.fork``, so a forked child starts with
+    nothing pending and never writes its parent's events. Queue workers
+    call it before returning, because a forked worker exits without
+    closing the tracer.
+    """
+    tracer = STATE.tracer
+    if tracer is not None:
+        tracer.flush()
+
+
+os.register_at_fork(before=flush)
 
 
 def span(name: str, /, **attrs):

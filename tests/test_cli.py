@@ -111,13 +111,20 @@ class TestCensus:
         assert "coalesced" in out and "misses" in out
 
     def test_compact_cache_flag(self, tmp_path, capsys):
+        from repro.analysis.census import random_census_workload
+        from repro.engine import ResultCache, batch_records
+
         cache = str(tmp_path / "census.jsonl")
+        # classify-only records, written through batch_records as the
+        # service writes them (a classify-only census caches nothing)
+        seeded = ResultCache(cache)
+        batch_records(random_census_workload([4], 2, 0.3, 3, 2), seeded)
+        seeded.close()
         base = ["census", "--n", "4", "--samples", "3", "--seed", "2", "--cache", cache]
-        assert main(base) == 0
-        # the --rounds rerun upgrades every record: superseded lines appear
+        # the --rounds run upgrades every record: superseded lines appear
         assert main(base + ["--rounds", "--compact-cache"]) == 0
         out = capsys.readouterr().out
-        assert "compacted" in out and "dropped" in out
+        assert "compacted" in out and "dropped 3 superseded" in out
         with open(cache, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
         keys = [json.loads(line)["key"] for line in lines]
@@ -126,6 +133,22 @@ class TestCensus:
     def test_compact_cache_requires_cache(self):
         with pytest.raises(SystemExit):
             main(["census", "--n", "4", "--samples", "2", "--compact-cache"])
+
+    def test_cache_requires_rounds(self, tmp_path):
+        cache = tmp_path / "census.jsonl"
+        for extra in ([], ["--compact-cache"]):
+            with pytest.raises(SystemExit, match="--rounds"):
+                main(["census", "--n", "4", "--samples", "2",
+                      "--cache", str(cache), *extra])
+        assert not cache.exists()
+
+    def test_compact_cache_rejects_queue(self, tmp_path):
+        with pytest.raises(SystemExit, match="--queue"):
+            main(["census", "--n", "4", "--samples", "2", "--rounds",
+                  "--cache", str(tmp_path / "c.jsonl"), "--queue",
+                  str(tmp_path / "q.sqlite"), "--workers", "2",
+                  "--compact-cache"])
+        assert not (tmp_path / "q.sqlite").exists()
 
 
 class TestDefeat:

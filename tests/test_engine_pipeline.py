@@ -16,6 +16,7 @@ from repro.engine import (
     ResultCache,
     SequenceWorkload,
     as_workload,
+    batch_records,
     plan_shards,
     sharded_census,
 )
@@ -117,9 +118,11 @@ class TestEquality:
         assert render(run.result) == render(serial)
 
     def test_rounds_upgrade_on_cached_entries(self, workload, serial):
-        # a cache populated WITHOUT rounds must transparently upgrade
+        # a cache populated WITHOUT rounds (batch_records, the service's
+        # path; a classify-only census caches nothing) must upgrade
         cache = ResultCache()
-        sharded_census(workload, cache=cache, measure_rounds=False)
+        batch_records(workload, cache, measure_rounds=False)
+        assert len(cache) > 0
         run = sharded_census(workload, cache=cache, measure_rounds=True)
         assert run.result.rows == serial.rows
 
@@ -150,8 +153,8 @@ class TestEquality:
 
     def test_exhaustive_population_with_dedup(self):
         w = EnumerationWorkload(4, 1)
-        direct = census(iter(w))
-        run = sharded_census(w, num_shards=6)
+        direct = census(iter(w), measure_rounds=True)
+        run = sharded_census(w, num_shards=6, measure_rounds=True)
         assert run.result.rows == direct.rows
         # the canonical cache classified strictly fewer than total configs,
         # and every item is accounted for exactly once
@@ -160,6 +163,11 @@ class TestEquality:
             run.stats.classified + run.stats.cache_hits + run.stats.deduped
             == run.stats.total_configs
         )
+        # a classify-only census keys nothing: it classifies every item
+        keyless = sharded_census(w, num_shards=6)
+        assert keyless.result.rows == census(iter(w)).rows
+        assert keyless.stats.classified == keyless.stats.total_configs == 90
+        assert keyless.stats.cache_hits == keyless.stats.deduped == 0
 
     def test_random_census_engine_default_equals_reference(self):
         kw = dict(span=2, p=0.3, samples=6, seed=4)
@@ -196,9 +204,9 @@ class TestCli:
         return capsys.readouterr().out
 
     def test_census_sharded_output_matches_plain(self, capsys, tmp_path):
-        plain = self.run_census(capsys)
+        plain = self.run_census(capsys, "--rounds")
         sharded = self.run_census(
-            capsys, "--shards", "3", "--cache", str(tmp_path / "c.jsonl")
+            capsys, "--rounds", "--shards", "3", "--cache", str(tmp_path / "c.jsonl")
         )
         table = lambda out: [  # noqa: E731
             line for line in out.splitlines() if line.startswith(("|", "+"))
@@ -208,6 +216,6 @@ class TestCli:
 
     def test_census_cache_reuse_across_invocations(self, capsys, tmp_path):
         cache = str(tmp_path / "c.jsonl")
-        self.run_census(capsys, "--cache", cache)
-        out = self.run_census(capsys, "--cache", cache)
-        assert "0 classified" in out  # second CLI run fully cache-served
+        self.run_census(capsys, "--rounds", "--cache", cache)
+        out = self.run_census(capsys, "--rounds", "--cache", cache)
+        assert ", 0 classified" in out  # second CLI run fully cache-served

@@ -15,6 +15,9 @@ reports. The mix covers:
 
 each member followed every few items by a relabeled, tag-shifted copy so
 the canonical keyer has duplicates to coalesce.
+
+A census that only classifies computes no key at all; its rows must
+equal the keyed rounds census's rows in every column it shares.
 """
 
 import pytest
@@ -65,18 +68,37 @@ def mix():
     return configs
 
 
-def test_census_rows_equal_under_both_keyers(mix):
+@pytest.fixture(scope="module")
+def keyed_runs(mix):
     workload = SequenceWorkload(mix, label="keyer-differential")
-    runs = {
+    return {
         keyer.__name__: sharded_census(
             workload, num_shards=3, keyer=keyer, measure_rounds=True
         )
         for keyer in (default_keyer, labeled_key)
     }
-    canonical, labeled = runs["default_keyer"], runs["labeled_key"]
+
+
+def test_census_rows_equal_under_both_keyers(keyed_runs):
+    canonical, labeled = keyed_runs["default_keyer"], keyed_runs["labeled_key"]
     assert canonical.result.rows == labeled.result.rows
     # the canonical keyer really coalesced: isomorphs cost one classification
     assert canonical.stats.classified < labeled.stats.classified
+
+
+def test_keyless_census_rows_equal_keyed_rows(mix, keyed_runs):
+    def shared_columns(run):
+        return {
+            group: (row.total, row.feasible, row.iterations_sum)
+            for group, row in run.result.rows.items()
+        }
+
+    keyless = sharded_census(
+        SequenceWorkload(mix, label="keyer-differential"), num_shards=3
+    )
+    assert keyless.stats.classified == len(mix)
+    for name, keyed in keyed_runs.items():
+        assert shared_columns(keyless) == shared_columns(keyed), name
 
 
 @pytest.mark.parametrize("mode", ["decide", "elect"])

@@ -4,26 +4,33 @@ Covers the :mod:`repro.obs` contracts the rest of the repo leans on:
 span nesting and exception capture, the closed JSONL event schema
 (including a hypothesis round-trip — arbitrary span trees survive
 write → parse → summarize), the disabled-mode no-op identity, registry
-group parity with the legacy ``as_dict`` surfaces, and the census
-progress events (``shard.started``/``shard.finished`` once per shard).
+group parity with the legacy ``as_dict`` surfaces, the census
+progress events (``shard.started``/``shard.finished`` once per shard),
+and the batched log: when lines are written, a torn final line, and a
+traced census drained by forked queue workers.
 """
 
 import json
+import os
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.campaigns import CampaignSpec, distributed_campaign
 from repro.engine.cache import ResultCache
-from repro.engine.pipeline import sharded_census
+from repro.engine.pipeline import distributed_census, sharded_census
+from repro.engine.workloads import RandomGnpWorkload
 from repro.obs.events import (
     EventSchemaError,
     read_events,
     validate_event,
     validate_events,
 )
-from repro.obs.tracing import NOOP_SPAN, Tracer
+from repro.obs.tracing import _SPAN_STACK, NOOP_SPAN, WRITE_BATCH, Tracer
 from repro.obs.summary import summarize_events, summarize_file
 
 from conftest import random_config_batch
@@ -31,10 +38,14 @@ from conftest import random_config_batch
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    """Every test starts and ends with tracing off and a bare registry."""
+    """Every test starts and ends with tracing off, a bare registry and
+    no live span (a test that enters a span without exiting it would
+    otherwise parent the next test's root spans)."""
     obs.disable()
     obs.registry.reset()
+    token = _SPAN_STACK.set(())
     yield
+    _SPAN_STACK.reset(token)
     obs.disable()
     obs.registry.reset()
 
@@ -302,3 +313,155 @@ def test_trace_events_survive_json_reload(tmp_path):
     obs.disable()
     on_disk = [json.loads(line) for line in path.read_text().splitlines()]
     assert on_disk == tracer.events
+
+
+# ----------------------------------------------------------------------
+# batched writes: when lines reach the log, and what a crash leaves
+# ----------------------------------------------------------------------
+def test_events_are_written_at_root_span_start_and_close(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tracer = obs.enable(trace_path=str(path))
+    with obs.span("root"):
+        on_disk = read_events(str(path))  # written when the root started
+        assert [e["kind"] for e in on_disk] == ["run.start", "span.start"]
+        with obs.span("child"):
+            obs.event("tick")
+    assert len(read_events(str(path))) == 2  # nothing written at root end
+    obs.disable()
+    assert read_events(str(path)) == tracer.events
+
+
+def test_pending_events_are_written_in_batches(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tracer = obs.enable(trace_path=str(path))
+    with obs.span("root"):
+        for i in range(WRITE_BATCH):
+            obs.event("tick", i=i)
+        assert len(read_events(str(path))) >= WRITE_BATCH
+    obs.disable()
+    assert read_events(str(path)) == tracer.events
+
+
+def test_torn_final_trace_line_is_skipped(tmp_path):
+    path = tmp_path / "t.jsonl"
+    obs.enable(trace_path=str(path))
+    with obs.span("work"):
+        obs.event("tick")
+    obs.disable()
+    whole = read_events(str(path), validate=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "span.start", "run": "ab')  # crash mid-write
+    assert read_events(str(path), validate=True) == whole
+    summary = summarize_file(str(path))
+    assert summary.span_total == 1 and "work" in summary.render()
+
+
+def test_appending_after_a_torn_line_keeps_every_whole_line(tmp_path):
+    """The log is shared: a writer that died mid-batch leaves a torn line
+    that the next batch, from this run or a later one, ends and marks."""
+    path = tmp_path / "t.jsonl"
+    first = obs.enable(trace_path=str(path))
+    with obs.span("a"):
+        pass
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "event", "run": "ab')  # a forked worker killed
+    with obs.span("b"):
+        obs.event("tick")
+    obs.disable()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "span.end", "dur": 0.')  # a whole run killed
+    second = obs.enable(trace_path=str(path))
+    with obs.span("c"):
+        pass
+    obs.disable()
+    assert read_events(str(path), validate=True) == first.events + second.events
+
+
+def test_tracer_writes_to_a_pipe(tmp_path):
+    """The log need not be seekable: ``--trace`` may name a FIFO."""
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    lines, opened = [], threading.Event()
+
+    def read():
+        with open(fifo, encoding="utf-8") as fh:
+            opened.set()
+            lines.extend(fh)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    tracer = Tracer(path=str(fifo))
+    assert opened.wait(10)
+    with tracer.span("work"):
+        tracer.event("tick")
+    tracer.close()
+    reader.join(10)
+    assert [json.loads(line) for line in lines] == tracer.events
+
+
+@pytest.mark.parametrize("where", ["middle", "final line with newline"])
+def test_malformed_trace_line_elsewhere_still_raises(tmp_path, where):
+    path = tmp_path / "t.jsonl"
+    obs.enable(trace_path=str(path))
+    with obs.span("work"):
+        pass
+    obs.disable()
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if where == "middle":
+        lines.insert(1, '{"kind": "span.start", "run": "ab\n')
+    else:
+        lines.append('{"kind": "span.start", "run": "ab\n')
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(EventSchemaError, match="not valid JSON"):
+        read_events(str(path))
+
+
+def test_traced_distributed_census_writes_each_event_once(tmp_path):
+    """Forked queue workers write their own events, never the parent's
+    pending ones, and every pending event is on disk by ``disable()``."""
+    path = tmp_path / "t.jsonl"
+    tracer = obs.enable(trace_path=str(path))
+    obs.event("before.fork")  # pending in the parent when it forks
+    run = distributed_census(
+        RandomGnpWorkload([5, 6], span=2, p=0.3, samples=6, seed=3),
+        str(tmp_path / "census.sqlite"),
+        num_workers=2,
+        num_shards=4,
+    )
+    obs.disable()
+    assert run.stats.total_configs == 12
+    events = read_events(str(path), validate=True)
+    kinds = Counter(e["kind"] for e in events)
+    assert kinds["run.start"] == kinds["run.end"] == 1
+    assert kinds["span.start"] == kinds["span.end"] > 0
+    shard_ends = [
+        e for e in events if e["kind"] == "span.end" and e["name"] == "census.shard"
+    ]
+    assert len(shard_ends) == 4  # every worker wrote its shards
+    assert [e for e in events if e["name"] == "before.fork"] == [
+        e for e in tracer.events if e["name"] == "before.fork"
+    ]
+    assert all(e in events for e in tracer.events)  # the parent's, all written
+
+
+def test_traced_distributed_campaign_writes_each_event_once(tmp_path):
+    """The campaign queue worker writes its events before it returns."""
+    spec = CampaignSpec(
+        name="traced", seed=7, trials=12, n_values=(4, 5), span=2,
+        strategies=({"strategy": "none", "weight": 1.0},),
+    )
+    path = tmp_path / "t.jsonl"
+    obs.enable(trace_path=str(path))
+    run = distributed_campaign(
+        spec, str(tmp_path / "campaign.sqlite"), num_workers=2, num_shards=4
+    )
+    obs.disable()
+    assert len(run.results) == 12
+    events = read_events(str(path), validate=True)
+    kinds = Counter(e["kind"] for e in events)
+    assert kinds["run.start"] == kinds["run.end"] == 1
+    assert kinds["span.start"] == kinds["span.end"] > 0
+    shard_ends = [
+        e for e in events if e["kind"] == "span.end" and e["name"] == "campaign.shard"
+    ]
+    assert len(shard_ends) == 4

@@ -198,20 +198,22 @@ class TestLifecycleAndErrors:
             BatchClassifier(batch_window=-1)
 
     def test_shared_cache_with_census_pipeline(self, tmp_path):
-        """A JSONL cache written by the census pipeline pre-warms the
+        """A JSONL cache written by a rounds census pre-warms the
         service: a served request for a census-seen configuration
-        classifies nothing."""
+        classifies nothing. (A classify-only census keys nothing and
+        writes no cache.)"""
         from repro.engine import RandomGnpWorkload, sharded_census
 
         path = str(tmp_path / "shared.jsonl")
         workload = RandomGnpWorkload([6], span=2, p=0.3, samples=5, seed=9)
-        sharded_census(workload, cache=ResultCache(path))
+        sharded_census(workload, cache=ResultCache(path), measure_rounds=True)
 
         with BatchClassifier(ResultCache(path)) as svc:
             record = svc.submit(next(iter(workload))).result(timeout=5)
             assert svc.stats.engine.classified == 0
             assert svc.stats.fast_hits == 1
-        assert record == census_record(next(iter(workload)).normalize())
+        first = next(iter(workload)).normalize()
+        assert record == census_record(first, measure_rounds=True)
 
     def test_invalid_configuration_fails_at_submit(self, svc):
         """Malformed configurations never reach the queue — the
