@@ -65,7 +65,7 @@ def test_warm_service_throughput_at_least_5x_naive(requests, reference):
     naive = [serial_report(cfg) for cfg in requests]
     naive_time = time.perf_counter() - t0
 
-    with BatchClassifier(batch_window=0.001) as svc:
+    with BatchClassifier() as svc:
         svc.classify_many(requests)  # warm the canonical-form cache
         warm_time = float("inf")
         for _ in range(3):
@@ -106,7 +106,7 @@ def test_isomorph_coalescing_classifies_once_per_class():
             {perm[v]: base.tag(v) for v in base.nodes},
         )
         variants.append(iso.shift_tags(i % 3))
-    with BatchClassifier(batch_window=0.001) as svc:
+    with BatchClassifier() as svc:
         records = svc.classify_many(variants, mode="elect")
         assert svc.stats.engine.classified == 1
         assert len(svc.cache) == 1
@@ -124,7 +124,7 @@ def test_naive_decide_timing(benchmark, requests, reference):
 
 @pytest.mark.benchmark(group="e20-throughput")
 def test_warm_service_timing(benchmark, requests, reference):
-    with BatchClassifier(batch_window=0.001) as svc:
+    with BatchClassifier() as svc:
         svc.classify_many(requests)  # warm once, outside the timer
         result = benchmark(
             lambda: [t.report() for t in svc.submit_many(requests)]

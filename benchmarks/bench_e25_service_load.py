@@ -8,7 +8,11 @@ p99 latency under ``P99_CEILING_S``, (b) answer every request
 bit-for-bit equal to the serial oracle
 (:func:`repro.service.serial_report`), (c) convert queue saturation
 into ``429 Too Many Requests`` + ``Retry-After`` instead of hung
-sockets, and (d) leave **zero** hung connections behind.
+sockets, and (d) leave **zero** hung connections behind. Its cold
+large-work arm posts one batch of distinct large-n ``elect`` requests,
+whose classification keeps the server's worker thread busy for at least
+``COLD_BATCH_MIN_S``, and requires trivial warm requests on another
+connection to keep their p99 under ``WARM_P99_CEILING_S`` meanwhile.
 
 The measured numbers land in ``BENCH_E25.json``
 (:mod:`repro.reporting.bench`) before the floors are asserted, so a
@@ -26,7 +30,7 @@ import time
 
 import pytest
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import line_configuration
 from repro.graphs.families import g_m
 from repro.reporting.bench import BenchResult, write_bench_result
 from repro.service import BatchClassifier, make_server, serial_report
@@ -45,6 +49,14 @@ P99_CEILING_S = 0.25
 #: Concurrent keep-alive clients and requests per client.
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 60
+
+#: The cold large-work arm: distinct G_m ``elect`` requests (n = 81 to
+#: 141) in one batched POST. Their classification must take at least
+#: COLD_BATCH_MIN_S, and warm requests answered meanwhile must keep
+#: their p99 under WARM_P99_CEILING_S.
+COLD_LARGE_M = range(20, 36)
+COLD_BATCH_MIN_S = 0.5
+WARM_P99_CEILING_S = 0.050
 
 
 def mixed_workload():
@@ -76,6 +88,13 @@ def sequences():
 
 
 @pytest.fixture(scope="module")
+def measured():
+    """``BENCH_E25.json``'s payload: each gate fills in its part and
+    rewrites the file before asserting."""
+    return BenchResult(experiment="E25", floor=RPS_FLOOR, passed=True)
+
+
+@pytest.fixture(scope="module")
 def oracle(sequences):
     """Serial reference report per (config, mode) — the equality bar."""
     expected = {}
@@ -87,28 +106,36 @@ def oracle(sequences):
     return expected
 
 
+def request_json(cfg, mode):
+    """The wire form of one request."""
+    return {
+        "edges": [list(e) for e in cfg.edges],
+        "tags": {str(v): t for v, t in cfg.tags.items()},
+        "mode": mode,
+    }
+
+
+def exchange(conn, payload):
+    """POST one JSON body over ``conn``; returns (status, parsed body)."""
+    conn.request(
+        "POST", "/classify", body=payload,
+        headers={"Content-Type": "application/json"},
+    )
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
 def run_client(address, sequence, oracle, latencies, failures):
     """One keep-alive client: POST every request, verify bit-for-bit."""
     conn = http.client.HTTPConnection(*address, timeout=30)
     try:
         for cfg, mode in sequence:
-            payload = json.dumps(
-                {
-                    "edges": [list(e) for e in cfg.edges],
-                    "tags": {str(v): t for v, t in cfg.tags.items()},
-                    "mode": mode,
-                }
-            )
+            payload = json.dumps(request_json(cfg, mode))
             t0 = time.perf_counter()
-            conn.request(
-                "POST", "/classify", body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
-            body = json.loads(resp.read())
+            status, body = exchange(conn, payload)
             latencies.append(time.perf_counter() - t0)
-            if resp.status != 200 or body["report"] != oracle[(cfg, mode)]:
-                failures.append((resp.status, body))
+            if status != 200 or body["report"] != oracle[(cfg, mode)]:
+                failures.append((status, body))
     finally:
         conn.close()
 
@@ -119,13 +146,13 @@ def percentile(values, q):
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def test_mixed_load_sustains_rps_and_p99_floors(sequences, oracle):
+def test_mixed_load_sustains_rps_and_p99_floors(sequences, oracle, measured):
     """The headline gate: CLIENTS concurrent keep-alive clients push
     mixed warm/cold traffic; the server sustains ``RPS_FLOOR`` with p99
     under ``P99_CEILING_S`` and every response bit-for-bit correct —
     then a saturation probe against a tiny queue must yield 429s, and
     the module ends with zero hung connections."""
-    classifier = BatchClassifier(batch_window=0.001)
+    classifier = BatchClassifier()
     server = make_server(port=0, classifier=classifier, quiet=True)
     serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
     serve_thread.start()
@@ -174,24 +201,19 @@ def test_mixed_load_sustains_rps_and_p99_floors(sequences, oracle):
             and saturated["retry_after"] >= 1
             and server.connection_count == 0
         )
-        write_bench_result(
-            BenchResult(
-                experiment="E25",
-                workload={
-                    "clients": CLIENTS,
-                    "requests": total,
-                    "unique_configs": len(oracle),
-                    "saturation_status": saturated["status"],
-                    "retry_after_s": saturated["retry_after"],
-                    "hung_connections": len(hung) + server.connection_count,
-                    "failures": len(failures),
-                },
-                timings_s={"wall": wall, "p50": p50, "p99": p99},
-                speedup=rps,  # requests/second in the schema's ratio slot
-                floor=RPS_FLOOR,
-                passed=passed,
-            )
+        measured.workload.update(
+            clients=CLIENTS,
+            requests=total,
+            unique_configs=len(oracle),
+            saturation_status=saturated["status"],
+            retry_after_s=saturated["retry_after"],
+            hung_connections=len(hung) + server.connection_count,
+            failures=len(failures),
         )
+        measured.timings_s.update(wall=wall, p50=p50, p99=p99)
+        measured.speedup = rps  # requests/second in the schema's ratio slot
+        measured.passed = measured.passed and passed
+        write_bench_result(measured)
         assert not failures, f"{len(failures)} wrong responses: {failures[:3]}"
         assert not hung, f"{len(hung)} client(s) hung"
         assert len(latencies) == total
@@ -208,7 +230,7 @@ def test_mixed_load_sustains_rps_and_p99_floors(sequences, oracle):
 
 def saturation_probe():
     """Drive a tiny-queue server into refusal; returns what came back."""
-    classifier = BatchClassifier(batch_window=0.001, max_pending=2)
+    classifier = BatchClassifier(max_pending=2)
     server = make_server(port=0, classifier=classifier, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -246,6 +268,102 @@ def saturation_probe():
         thread.join(timeout=10)
 
 
+def test_cold_large_batch_keeps_warm_requests_fast(measured):
+    """The cold large-work arm: one connection posts a batched ``elect``
+    request of distinct cold large-n configurations, which keeps the
+    server classifying for at least ``COLD_BATCH_MIN_S``. Meanwhile
+    trivial warm requests on another connection keep their p99 under
+    ``WARM_P99_CEILING_S``, and every response equals
+    ``serial_report``. A server that classifies on the loop its
+    requests are keyed on makes every warm request wait out the batch.
+    """
+    cold = [g_m(m) for m in COLD_LARGE_M]
+    cold_payload = json.dumps(
+        {"requests": [request_json(cfg, "elect") for cfg in cold]}
+    )
+    warm_payload = json.dumps({"line": [0, 1, 0]})
+    warm_expected = serial_report(line_configuration([0, 1, 0]))
+    classifier = BatchClassifier()
+    server = make_server(port=0, classifier=classifier, quiet=True)
+    serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
+    serve_thread.start()
+    address = tuple(server.server_address[:2])
+    warm_conn = http.client.HTTPConnection(*address, timeout=60)
+    cold_out = {}
+
+    def cold_client():
+        conn = http.client.HTTPConnection(*address, timeout=60)
+        try:
+            t0 = time.perf_counter()
+            cold_out["status"], cold_out["body"] = exchange(conn, cold_payload)
+            cold_out["wall"] = time.perf_counter() - t0
+        finally:
+            conn.close()
+
+    try:
+        assert exchange(warm_conn, warm_payload)[0] == 200  # warm it
+        batches = classifier.stats.batches
+        cold_thread = threading.Thread(target=cold_client)
+        cold_thread.start()
+        # from the moment the cold batch starts classifying...
+        deadline = time.monotonic() + 60
+        while (
+            classifier.stats.batches == batches
+            and cold_thread.is_alive()
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.001)
+        # ...until its response arrives, send warm requests back to back
+        latencies, wrong = [], 0
+        while cold_thread.is_alive():
+            t0 = time.perf_counter()
+            status, body = exchange(warm_conn, warm_payload)
+            latencies.append(time.perf_counter() - t0)
+            if status != 200 or body["report"] != warm_expected:
+                wrong += 1
+        cold_thread.join()
+    finally:
+        warm_conn.close()
+        server.shutdown()
+        server.server_close()
+        classifier.close()
+        serve_thread.join(timeout=10)
+
+    cold_reports = [r.get("report") for r in cold_out["body"]["responses"]]
+    cold_correct = cold_out["status"] == 200 and cold_reports == [
+        serial_report(cfg, "elect") for cfg in cold
+    ]
+    p99 = percentile(latencies, 0.99) if latencies else float("inf")
+    passed = (
+        cold_correct
+        and wrong == 0
+        and cold_out["wall"] >= COLD_BATCH_MIN_S
+        and p99 < WARM_P99_CEILING_S
+    )
+    measured.workload.update(
+        cold_batch_items=len(cold),
+        cold_batch_n=[cfg.n for cfg in (cold[0], cold[-1])],
+        warm_during_cold=len(latencies),
+        warm_during_cold_failures=wrong,
+    )
+    measured.timings_s.update(
+        cold_batch=cold_out["wall"], warm_during_cold_p99=p99
+    )
+    measured.limits_s["warm_during_cold_p99"] = WARM_P99_CEILING_S
+    measured.passed = measured.passed and passed
+    write_bench_result(measured)
+    assert cold_correct, "cold batch answers differ from serial_report"
+    assert wrong == 0, f"{wrong} wrong warm responses"
+    assert cold_out["wall"] >= COLD_BATCH_MIN_S, (
+        f"cold batch took {cold_out['wall']:.3f}s < {COLD_BATCH_MIN_S}s: "
+        "too short to hold the worker busy"
+    )
+    assert p99 < WARM_P99_CEILING_S, (
+        f"warm p99 {p99 * 1e3:.1f} ms during the cold batch "
+        f"(n = {len(latencies)}) >= {WARM_P99_CEILING_S * 1e3:.0f} ms"
+    )
+
+
 @pytest.mark.benchmark(group="e25-service-load")
 def test_warm_request_latency_over_keepalive(benchmark, sequences, oracle):
     """Timing row: one warm request over an established keep-alive
@@ -259,7 +377,7 @@ def test_warm_request_latency_over_keepalive(benchmark, sequences, oracle):
             "mode": mode,
         }
     )
-    classifier = BatchClassifier(batch_window=0.001)
+    classifier = BatchClassifier()
     server = make_server(port=0, classifier=classifier, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -2,7 +2,8 @@
 
 For one configuration, :func:`validate` runs
 
-1. the faithful classifier and the hash-based classifier (must produce
+1. the default classifier (the compiled core) and the paper's faithful
+   Refine, ``classify(config, algorithm="reference")`` (must produce
    identical traces),
 2. the canonical DRIP as a distributed execution on the simulator,
 3. the Lemma 3.9 equivalence — for every phase boundary ``r_{j-1}``, the
@@ -27,7 +28,7 @@ from typing import List
 from ..core.classifier import classify
 from ..core.configuration import Configuration
 from ..core.election import elect_leader
-from ..core.fast_classifier import fast_classify, traces_equal
+from ..core.fast_classifier import traces_equal
 from ..core.partition import partition_key
 from .automorphisms import has_fixed_node
 
@@ -72,9 +73,12 @@ def validate(config: Configuration, *, check_automorphisms: bool = True) -> Vali
         if not condition:
             report.failures.append(message)
 
-    # 1. faithful vs hash-based classifier -----------------------------
-    fast = fast_classify(config)
-    check(traces_equal(trace, fast), "fast_classify trace differs from classify")
+    # 1. default vs the paper's faithful classifier --------------------
+    reference = classify(config, algorithm="reference")
+    check(
+        traces_equal(trace, reference),
+        "classify trace differs from the faithful reference classifier",
+    )
 
     # 2 + 6. distributed execution of the canonical protocol ------------
     election = elect_leader(config, trace=trace, check=False)

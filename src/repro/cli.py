@@ -479,7 +479,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        batch_window=args.batch_window,
         algorithm=args.algorithm,
     )
     try:
@@ -1047,12 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="cold-miss queue bound; submits beyond it block (backpressure)",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="seconds to wait for stragglers when forming a batch",
     )
     p.add_argument(
         "--max-connections",

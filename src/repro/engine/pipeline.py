@@ -314,9 +314,10 @@ def batch_records(
 ) -> List[Dict]:
     """Classification records for a batch, in input order, through the cache.
 
-    This is the engine's batch-lookup hook — the coalescing core shared by
-    the sharded census pipeline and the batch classification service
-    (:mod:`repro.service`). Each configuration is normalized and keyed
+    This is the engine's batch-lookup hook — the coalescing core of the
+    sharded census pipeline, whose steps (:class:`BatchLookup`) the batch
+    classification service (:mod:`repro.service`) shares. Each
+    configuration is normalized and keyed
     (:mod:`repro.engine.keys`); duplicate keys inside the batch are
     coalesced to one classification; keys with a sufficient cached record
     are answered without work; the remaining *unique* misses are
@@ -334,8 +335,9 @@ def batch_records(
     ``precomputed_keys`` skips normalization and keying for callers that
     already paid for both (keying is the expensive step for canonical
     keys): a sequence parallel to ``configs``, whose configurations must
-    then already be normalized. The batch classification service uses
-    this — requests are keyed once at submit time, never again.
+    then already be normalized. The batch classification service passes
+    them to :class:`BatchLookup` — requests are keyed once at submit
+    time, never again.
 
     Miss classification picks its implementation the way
     :func:`repro.analysis.census.census` does: the unique misses go
@@ -351,18 +353,19 @@ def batch_records(
     """
     if stats is None:
         stats = EngineStats()
-    return _engine_batch(
-        stats,
-        lambda: _batch_records_impl(
+
+    def body() -> List[Dict]:
+        lookup = BatchLookup(
             configs,
             cache,
             measure_rounds=measure_rounds,
+            stats=stats,
             keyer=keyer,
             precomputed_keys=precomputed_keys,
-            stats=stats,
-            algorithm=algorithm,
-        ),
-    )
+        )
+        return lookup.complete(lookup.classify(algorithm))
+
+    return _engine_batch(stats, body)
 
 
 def _engine_batch(
@@ -410,57 +413,83 @@ def _classify_records(
     ]
 
 
-def _batch_records_impl(
-    configs,
-    cache: ResultCache,
-    *,
-    measure_rounds: bool,
-    keyer: Keyer,
-    precomputed_keys: Optional[Sequence[str]],
-    stats: EngineStats,
-    algorithm: str,
-) -> List[Dict]:
-    """The untraced body of :func:`batch_records` (stats required)."""
-    keys: List[str] = []  # key per item, in input order
-    pending: "Dict[str, Configuration]" = {}  # first config per missing key
-    # Records are pinned locally for the duration of the batch: a bounded
-    # LRU may evict an entry between lookup and result assembly, so the
-    # cache is never re-consulted for a record already seen this batch.
-    records_by_key: Dict[str, Dict] = {}
+class BatchLookup:
+    """The cache steps of :func:`batch_records`, around classification.
 
-    def keyed_items():
-        if precomputed_keys is None:
-            for cfg in configs:
-                normalized = cfg.normalize()
-                yield normalized, keyer(normalized)
-        else:
-            yield from zip(configs, precomputed_keys)
+    Construction keys each configuration (unless ``precomputed_keys``
+    are given), coalesces duplicate keys and answers every key the cache
+    holds a sufficient record for, updating ``stats.cache_hits`` and
+    ``stats.deduped``. :attr:`misses` holds the unique configurations
+    left to classify; :meth:`classify` classifies them without touching
+    the cache or ``stats``, and :meth:`complete` stores their records,
+    counts them in ``stats.classified`` and returns one record per
+    input, in input order.
 
-    for normalized, key in keyed_items():
-        if key in records_by_key:  # duplicate of an already-hit key
-            stats.cache_hits += 1
-        elif key in pending:  # rides on a classification queued this batch
-            stats.deduped += 1
-        else:
-            record = cache.get(key)
-            if record_sufficient(record, measure_rounds):
-                records_by_key[key] = record
-                stats.cache_hits += 1
+    :func:`batch_records` runs the three steps back to back. The service
+    (:mod:`repro.service.batcher`) runs :meth:`classify` on a worker
+    thread and the other two on its event loop, so the cache and the
+    counters stay on one thread.
+    """
+
+    def __init__(
+        self,
+        configs,
+        cache: ResultCache,
+        *,
+        measure_rounds: bool,
+        stats: EngineStats,
+        keyer: Keyer = default_keyer,
+        precomputed_keys: Optional[Sequence[str]] = None,
+    ) -> None:
+        self.cache = cache
+        self.measure_rounds = measure_rounds
+        self.stats = stats
+        self.keys: List[str] = []  # key per item, in input order
+        pending: "Dict[str, Configuration]" = {}  # first config per missing key
+        # Records are pinned locally for the duration of the batch: a
+        # bounded LRU may evict an entry between lookup and result
+        # assembly, so the cache is never re-consulted for a record
+        # already seen this batch.
+        self._records: Dict[str, Dict] = {}
+
+        def keyed_items():
+            if precomputed_keys is None:
+                for cfg in configs:
+                    normalized = cfg.normalize()
+                    yield normalized, keyer(normalized)
             else:
-                pending[key] = normalized
-        keys.append(key)
+                yield from zip(configs, precomputed_keys)
 
-    if pending:
-        missing = list(pending)
-        records = _classify_records(
-            [pending[k] for k in missing], measure_rounds, algorithm
-        )
-        for key, record in zip(missing, records):
-            records_by_key[key] = record
-            cache.put(key, record)
-        stats.classified += len(missing)
+        for normalized, key in keyed_items():
+            if key in self._records:  # duplicate of an already-hit key
+                stats.cache_hits += 1
+            elif key in pending:  # rides on a classification queued this batch
+                stats.deduped += 1
+            else:
+                record = cache.get(key)
+                if record_sufficient(record, measure_rounds):
+                    self._records[key] = record
+                    stats.cache_hits += 1
+                else:
+                    pending[key] = normalized
+            self.keys.append(key)
+        self._missing: List[str] = list(pending)
+        #: the unique configurations to classify, normalized
+        self.misses: List[Configuration] = list(pending.values())
 
-    return [records_by_key[key] for key in keys]
+    def classify(self, algorithm: str) -> List[Dict]:
+        """Records for :attr:`misses`, in order (no cache or stats access)."""
+        if not self.misses:
+            return []
+        return _classify_records(self.misses, self.measure_rounds, algorithm)
+
+    def complete(self, records: Sequence[Dict]) -> List[Dict]:
+        """Store the records of :attr:`misses`; every input's record."""
+        for key, record in zip(self._missing, records):
+            self._records[key] = record
+            self.cache.put(key, record)
+        self.stats.classified += len(self._missing)
+        return [self._records[key] for key in self.keys]
 
 
 def _classify_shard(

@@ -19,8 +19,9 @@ server's existing names) and registry-native series under
 ``repro_obs_*``.
 
 Everything is stdlib-only. Counter updates are single ``int`` adds —
-atomic enough under the GIL for the threads involved (server loop,
-dispatcher loop, main thread), same as the serving metrics.
+atomic enough under the GIL for the threads involved (the service's
+event loop and its classification worker, main thread), same as the
+serving metrics.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Batch classification core: asyncio dispatcher + sync facade.
+"""Batch classification core: one event loop, one classification worker.
 
 The service turns many independent ``decide``/``elect`` requests into
 few engine calls:
@@ -9,19 +9,27 @@ few engine calls:
    record the ticket resolves immediately, with no queueing or
    classification.
 2. **Batching** — cold misses enter a *bounded* :class:`asyncio.Queue`.
-   A single dispatcher coroutine drains it into batches (up to
-   ``max_batch`` items, waiting at most ``batch_window`` seconds for
-   stragglers) and classifies each batch through the engine's
-   batch-lookup hook :func:`repro.engine.batch_records` — which
-   coalesces duplicate keys inside the batch, answers records cached
-   since submission, classifies only the unique remainder (optionally
-   fanned out over the process pool), and writes results back to the
-   cache for every later request.
+   A single dispatcher coroutine takes whatever is queued when it runs
+   (up to ``max_batch`` items; there is no straggler timer) and looks
+   the batch up through the engine's
+   :class:`~repro.engine.pipeline.BatchLookup` — which coalesces
+   duplicate keys inside the batch and answers records cached since
+   submission. Only the unique remainder leaves the loop: one worker
+   thread classifies it while the loop keeps admitting requests and
+   answering warm hits, and the records are written back to the cache
+   on the loop for every later request. Requests that arrive while a
+   batch classifies form the next batch.
 3. **Backpressure** — when the queue holds ``max_pending`` items,
    ``submit`` blocks (the async core awaits; the sync facade's
    ``submit`` call does not return) until the dispatcher drains. Memory
    is bounded by ``max_pending`` plus one in-flight batch; producers are
    slowed instead of the process growing without bound.
+
+The loop runs on the facade's daemon thread, and the HTTP server
+(:mod:`repro.service.server`) serves on the same loop, awaiting the
+core's admission directly. Keys, cache reads and writes, counters,
+``on_batch`` and ticket resolution all stay on that thread, so the
+cache and the counters need no lock.
 
 Determinism: record values come from :func:`repro.engine.census_record`
 via the cache, so a response is a pure function of the configuration and
@@ -42,9 +50,10 @@ and worker count — and bit-for-bit equal to serial
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import hashlib
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -54,7 +63,7 @@ from ..core.classifier import resolve_algorithm
 from ..core.configuration import Configuration
 from ..engine.cache import ResultCache
 from ..engine.keys import Keyer, default_keyer
-from ..engine.pipeline import EngineStats, batch_records, record_sufficient
+from ..engine.pipeline import BatchLookup, EngineStats, record_sufficient
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import registry as _registry
 from ..obs.runtime import span as _obs_span
@@ -85,9 +94,9 @@ class ServiceClosedError(RuntimeError):
 class ServiceSaturatedError(RuntimeError):
     """Admission was refused: the cold-miss queue cannot take the batch.
 
-    Raised by the non-blocking admission path
-    (:meth:`BatchClassifier.schedule_admit`) when a request batch holds
-    more cache misses than the bounded queue has free slots. Where the
+    Raised by the non-blocking admission path (the batch core's
+    ``admit_many``, which the HTTP server awaits) when a request batch
+    holds more cache misses than the bounded queue has free slots. Where the
     blocking ``submit`` path would *stall* the caller (backpressure),
     admission converts saturation into an immediate, explicit error the
     HTTP server maps to ``429 Too Many Requests`` + ``Retry-After``.
@@ -110,7 +119,7 @@ class ServiceUnresponsiveError(RuntimeError):
     """A timed wait on the dispatcher expired (or its loop is dead).
 
     Distinguishes "the service is busy" from "the service will never
-    answer": the message carries the dispatcher thread's liveness and
+    answer": the message carries the event loop thread's liveness and
     the queue state at the moment of the timeout, so a hung caller gets
     a diagnosis instead of an opaque ``TimeoutError`` — or, worse, the
     pre-fix behavior of blocking forever on a dead event loop.
@@ -207,10 +216,13 @@ class _Item:
 
 
 class _AsyncBatchCore:
-    """The asyncio side: bounded queue + dispatcher loop.
+    """The asyncio side: bounded queue, dispatcher, classification worker.
 
-    Runs entirely on one event loop (the facade hosts it on a daemon
-    thread). Results travel through thread-safe
+    Runs on one event loop (the facade hosts it on a daemon thread, and
+    the HTTP server serves on the same loop). Keys, cache reads and
+    writes, counters, ``on_batch`` and ticket resolution all run on that
+    loop's thread; only the classification of a batch's unique misses
+    runs on the worker thread. Results travel through thread-safe
     :class:`concurrent.futures.Future` objects so synchronous callers
     can wait on them directly; async callers can wrap a ticket's future
     with :func:`asyncio.wrap_future`.
@@ -224,7 +236,6 @@ class _AsyncBatchCore:
         keyer: Keyer,
         max_batch: int,
         max_pending: int,
-        batch_window: float,
         algorithm: str,
         on_batch: Optional[Callable[[int], None]] = None,
     ) -> None:
@@ -233,7 +244,6 @@ class _AsyncBatchCore:
         self.keyer = keyer
         self.max_batch = max_batch
         self.max_pending = max_pending
-        self.batch_window = batch_window
         self.algorithm = algorithm
         self.on_batch = on_batch
         # Created lazily on the loop thread (see _ensure_queue): on
@@ -241,6 +251,7 @@ class _AsyncBatchCore:
         # event loop, so building it here — on the facade's caller
         # thread — would wire it to the wrong loop (or none at all).
         self.queue: "Optional[asyncio.Queue[Optional[_Item]]]" = None
+        self.closing = False  #: set by :meth:`stop`; admission refuses
         self._stop_requested = False
         # Enqueue coroutines currently executing (possibly suspended on
         # a full queue). The dispatcher only exits when a requested stop
@@ -249,6 +260,9 @@ class _AsyncBatchCore:
         # enqueue_many (each re-await joins the waiter FIFO behind it),
         # so "saw the sentinel" alone must never terminate the loop.
         self._inflight = 0
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-classify"
+        )
 
     @contextmanager
     def _track_inflight(self):
@@ -283,42 +297,52 @@ class _AsyncBatchCore:
             self.queue = asyncio.Queue(maxsize=self.max_pending)
         return self.queue
 
-    async def enqueue(self, config: Configuration, mode: str) -> Ticket:
-        """Key a request; resolve warm hits inline, queue cold misses.
+    def _lookup(self, config: Configuration, measure_rounds: bool):
+        """``(normalized, key, sufficient cached record or None)``."""
+        normalized = config.normalize()
+        key = self.keyer(normalized)
+        record = self.cache.get(key)
+        if not record_sufficient(record, measure_rounds):
+            record = None
+        return normalized, key, record
 
-        Awaits — exerting backpressure on the submitter — while the
-        pending queue is full.
-        """
-        with self._track_inflight():
-            normalized = config.normalize()
-            key = self.keyer(normalized)
-            measure_rounds = mode == "elect"
-            future: Future = Future()
-            self.stats.submitted += 1
-            record = self.cache.get(key)
-            if record_sufficient(record, measure_rounds):
-                self.stats.fast_hits += 1
-                self.stats.engine.cache_hits += 1
-                future.set_result(record)
-            else:
-                await self._ensure_queue().put(
-                    _Item(normalized, key, measure_rounds, future)
-                )
-            return Ticket(mode=mode, key=key, future=future)
+    def _make_ticket(self, mode: str, normalized, key: str, record):
+        """A ticket, already resolved for a warm hit, and the cold
+        miss's queue item (None for a warm hit)."""
+        future: Future = Future()
+        self.stats.submitted += 1
+        item = None
+        if record is not None:
+            self.stats.fast_hits += 1
+            self.stats.engine.cache_hits += 1
+            future.set_result(record)
+        else:
+            item = _Item(normalized, key, mode == "elect", future)
+        return Ticket(mode=mode, key=key, future=future), item
 
     async def enqueue_many(
         self, configs: Sequence[Configuration], mode: str
     ) -> List[Ticket]:
-        """Vectorized :meth:`enqueue`: one loop round-trip for a whole
-        batch of requests (the facade's ``submit_many`` fast path).
+        """Key requests; resolve warm hits inline, queue cold misses.
 
-        Holds its own in-flight guard for the *whole* batch: the
-        per-item counter in :meth:`enqueue` drops to zero between
-        items, which would otherwise let a concurrent shutdown conclude
-        that no producer is mid-batch.
+        Suspends only on a full queue, exerting backpressure on the
+        submitter; while the queue has room the call never yields to
+        the loop, so its misses land in one batch. Holds the in-flight
+        guard for the whole call: a concurrent shutdown must not
+        conclude that no producer is mid-batch.
         """
+        measure_rounds = mode == "elect"
+        queue = self._ensure_queue()
+        tickets: List[Ticket] = []
         with self._track_inflight():
-            return [await self.enqueue(cfg, mode) for cfg in configs]
+            for config in configs:
+                ticket, item = self._make_ticket(
+                    mode, *self._lookup(config, measure_rounds)
+                )
+                if item is not None:
+                    await queue.put(item)  # suspends only when full
+                tickets.append(ticket)
+        return tickets
 
     async def admit_many(
         self,
@@ -326,78 +350,63 @@ class _AsyncBatchCore:
         mode: str,
         retry_after: float = 1.0,
     ) -> List[Ticket]:
-        """Admission-controlled :meth:`enqueue_many`: never blocks.
+        """Admission-controlled :meth:`enqueue_many`: never suspends.
 
-        Where ``enqueue``/``enqueue_many`` *await* a full queue
-        (backpressure), this path refuses outright: the whole batch is
-        keyed and looked up first, and if its cold misses exceed the
-        queue's free slots a :class:`ServiceSaturatedError` is raised
-        — atomically, before any item is queued or any ticket issued,
-        so a refused batch leaves no partial state behind. There are no
-        awaits between the capacity check and the puts (``put_nowait``),
-        which makes check-then-admit race-free on the dispatcher loop.
+        Where :meth:`enqueue_many` *awaits* a full queue (backpressure),
+        this path refuses outright: the whole batch is keyed and looked
+        up first, and if its cold misses exceed the queue's free slots a
+        :class:`ServiceSaturatedError` is raised — before any item is
+        queued or any ticket made, so a refused batch leaves no
+        partial state behind. It never yields to the loop, which makes
+        check-then-admit race-free and lands the admitted misses in one
+        batch. The HTTP server's handlers await it directly; after
+        :meth:`stop` it raises :class:`ServiceClosedError`.
         """
-        with self._track_inflight():
-            measure_rounds = mode == "elect"
-            prepared = []  # (normalized config, key, warm record | None)
-            for config in configs:
-                normalized = config.normalize()
-                key = self.keyer(normalized)
-                record = self.cache.get(key)
-                if not record_sufficient(record, measure_rounds):
-                    record = None
-                prepared.append((normalized, key, record))
-            queue = self._ensure_queue()
-            cold = sum(1 for _, _, record in prepared if record is None)
-            free = self.max_pending - queue.qsize()
-            if cold > free:
-                self.stats.rejected += len(prepared)
-                raise ServiceSaturatedError(
-                    pending=queue.qsize(),
-                    capacity=self.max_pending,
-                    needed=cold,
-                    retry_after=retry_after,
-                )
-            tickets: List[Ticket] = []
-            for normalized, key, record in prepared:
-                future: Future = Future()
-                self.stats.submitted += 1
-                if record is not None:
-                    self.stats.fast_hits += 1
-                    self.stats.engine.cache_hits += 1
-                    future.set_result(record)
-                else:
-                    queue.put_nowait(
-                        _Item(normalized, key, measure_rounds, future)
-                    )
-                tickets.append(Ticket(mode=mode, key=key, future=future))
-            return tickets
+        if self.closing:
+            raise ServiceClosedError("BatchClassifier is closed")
+        measure_rounds = mode == "elect"
+        prepared = [self._lookup(config, measure_rounds) for config in configs]
+        queue = self._ensure_queue()
+        cold = sum(1 for _, _, record in prepared if record is None)
+        if cold > self.max_pending - queue.qsize():
+            self.stats.rejected += len(prepared)
+            raise ServiceSaturatedError(
+                pending=queue.qsize(),
+                capacity=self.max_pending,
+                needed=cold,
+                retry_after=retry_after,
+            )
+        tickets: List[Ticket] = []
+        for normalized, key, record in prepared:
+            ticket, item = self._make_ticket(mode, normalized, key, record)
+            if item is not None:
+                queue.put_nowait(item)
+            tickets.append(ticket)
+        return tickets
 
-    async def _drain_batch(self, first: _Item) -> List[_Item]:
-        """Collect up to ``max_batch`` items, waiting ``batch_window``
-        for stragglers after the queue momentarily empties."""
+    async def stop(self) -> None:
+        """Refuse further admissions; queue the shutdown sentinel behind
+        every pending item."""
+        self.closing = True
+        await self._ensure_queue().put(None)
+
+    def _drain_batch(self, first: _Item) -> List[_Item]:
+        """``first`` plus whatever is queued now, up to ``max_batch``.
+
+        There is no straggler timer: requests that arrive while this
+        batch classifies form the next one.
+        """
         batch = [first]
         queue = self._ensure_queue()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.batch_window
-        while len(batch) < self.max_batch:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+        while len(batch) < self.max_batch and not queue.empty():
+            item = queue.get_nowait()
             if item is None:  # shutdown sentinel mid-drain: note and finish
                 self._stop_requested = True
                 break
             batch.append(item)
         return batch
 
-    def _classify(self, batch: Sequence[_Item]) -> None:
+    async def _classify(self, batch: Sequence[_Item]) -> None:
         """Classify one drained batch and resolve its futures.
 
         ``decide`` and ``elect`` items are classified in separate
@@ -405,7 +414,8 @@ class _AsyncBatchCore:
         request's election simulation. The elect sub-batch runs first:
         a rounds-bearing record satisfies a later decide lookup of the
         same key, while the reverse order would classify such a key
-        twice (once without rounds, once upgrading).
+        twice (once without rounds, once upgrading). Only the
+        classification of the unique misses leaves the loop.
         """
         self.stats.batches += 1
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
@@ -423,6 +433,7 @@ class _AsyncBatchCore:
         if dropped:
             _registry.inc("service.cancelled_tickets", dropped)
         digest = keys_digest([it.key for it in live]) if _OBS.enabled else None
+        loop = asyncio.get_running_loop()
         with _obs_span(
             "service.batch", items=len(batch), keys_digest=digest
         ) as sp:
@@ -433,17 +444,27 @@ class _AsyncBatchCore:
                 if not group:
                     continue
                 try:
-                    # configs were normalized and keyed at submit time;
-                    # precomputed_keys spares re-canonicalizing every miss
-                    records = batch_records(
+                    # configs were normalized and keyed at submit time
+                    lookup = BatchLookup(
                         [it.config for it in group],
                         self.cache,
                         measure_rounds=measure_rounds,
-                        keyer=self.keyer,
-                        precomputed_keys=[it.key for it in group],
                         stats=self.stats.engine,
-                        algorithm=self.algorithm,
+                        precomputed_keys=[it.key for it in group],
                     )
+                    classified: List[Dict] = []
+                    if lookup.misses:
+                        sp.add("classified", len(lookup.misses))
+                        # in a copy of this task's context, as
+                        # asyncio.to_thread does: the worker's spans
+                        # (batch.kernel) nest under service.batch
+                        classified = await loop.run_in_executor(
+                            self._worker,
+                            contextvars.copy_context().run,
+                            lookup.classify,
+                            self.algorithm,
+                        )
+                    records = lookup.complete(classified)
                 except Exception as exc:  # classification bug: fail the group
                     sp.add("failed", len(group))
                     for it in group:
@@ -467,36 +488,39 @@ class _AsyncBatchCore:
         when the request coincides with an empty queue and no in-flight
         enqueue — so a producer suspended on a full queue (whose later
         puts the sentinel can overtake) always gets drained and every
-        issued ticket resolves.
+        ticket handed out resolves. One batch classifies at a time: that is
+        the backpressure contract.
         """
         queue = self._ensure_queue()
         _registry.heartbeat(DISPATCHER_HEARTBEAT)
-        while True:
-            first = await queue.get()
-            # One heartbeat per loop wake-up (per batch, not per item):
-            # cheap enough to run unconditionally, and it gives timeout
-            # diagnoses and /metrics a liveness signal even untraced.
-            _registry.heartbeat(DISPATCHER_HEARTBEAT)
-            if first is not None:
-                batch = await self._drain_batch(first)
-                # batch_records classifies synchronously; for census-
-                # scale configurations a batch is milliseconds, and one
-                # batch at a time is exactly the backpressure contract.
-                self._classify(batch)
-            else:
-                self._stop_requested = True
-            if self._stop_requested and self._inflight == 0 and queue.empty():
-                break
+        try:
+            while True:
+                first = await queue.get()
+                # One heartbeat per loop wake-up (per batch, not per
+                # item): cheap enough to run unconditionally, and it
+                # gives timeout diagnoses and /metrics a liveness signal
+                # even untraced.
+                _registry.heartbeat(DISPATCHER_HEARTBEAT)
+                if first is not None:
+                    await self._classify(self._drain_batch(first))
+                else:
+                    self._stop_requested = True
+                if self._stop_requested and not self._inflight and queue.empty():
+                    break
+        finally:
+            self._worker.shutdown(wait=False)
 
 
 class BatchClassifier:
     """Synchronous facade over the asyncio batch core.
 
-    Owns a daemon thread running an event loop, a shared
+    Owns a daemon thread running the event loop, a shared
     :class:`~repro.engine.cache.ResultCache` (pass one to persist or
-    share with a census), and the dispatcher. Thread-safe: any number of
-    threads may ``submit`` concurrently (the HTTP server does exactly
-    that), and their requests coalesce into common batches.
+    share with a census), the dispatcher and its classification worker
+    thread. Thread-safe: any number of threads may ``submit``
+    concurrently, and their requests coalesce into common batches. The
+    HTTP server (:mod:`repro.service.server`) serves on the same loop
+    and admits its requests there directly.
 
     Parameters
     ----------
@@ -506,14 +530,11 @@ class BatchClassifier:
         the records are the same shape the census pipeline writes, so a
         census run pre-warms the service and vice versa.
     max_batch:
-        most requests classified in one engine call.
+        most requests classified in one engine call. A batch is
+        whatever is queued when the dispatcher runs, up to this bound.
     max_pending:
         bound of the cold-miss queue; submits beyond it block
         (backpressure) until the dispatcher catches up.
-    batch_window:
-        seconds the dispatcher waits for stragglers after the queue runs
-        dry — the latency price paid for larger, better-coalesced
-        batches. 0 dispatches immediately.
     keyer:
         request coalescing granularity; the default collapses
         tag-preserving isomorphs at any size via the refinement
@@ -529,8 +550,8 @@ class BatchClassifier:
         :func:`repro.engine.batch_records`).
     on_batch:
         optional observer called with each executed batch's size (on
-        the dispatcher thread) — the server wires its batch-size
-        histogram here (:mod:`repro.service.metrics`).
+        the loop thread) — the server wires its batch-size histogram
+        here (:mod:`repro.service.metrics`).
     """
 
     def __init__(
@@ -539,7 +560,6 @@ class BatchClassifier:
         *,
         max_batch: int = 64,
         max_pending: int = 1024,
-        batch_window: float = 0.002,
         keyer: Keyer = default_keyer,
         algorithm: str = "auto",
         on_batch: Optional[Callable[[int], None]] = None,
@@ -548,9 +568,7 @@ class BatchClassifier:
             raise ValueError("max_batch must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
-        # Validate at build time, but keep the raw knob: batch_records
+        # Validate at build time, but keep the raw knob: the lookup
         # resolves "auto" per miss-batch (vectorized kernel when numpy is
         # available, compiled core otherwise), so collapsing it here would
         # pin the service to the single-configuration default.
@@ -570,12 +588,11 @@ class BatchClassifier:
             keyer=keyer,
             max_batch=max_batch,
             max_pending=max_pending,
-            batch_window=batch_window,
             algorithm=algorithm,
             on_batch=on_batch,
         )
         self._thread = threading.Thread(
-            target=self._run_loop, name="repro-service-dispatch", daemon=True
+            target=self._run_loop, name="repro-service-loop", daemon=True
         )
         self._thread.start()
 
@@ -587,18 +604,20 @@ class BatchClassifier:
             # the loop was stopped out from under the dispatcher; the
             # thread dies quietly and submit() diagnoses it
             # (ServiceUnresponsiveError) instead of a daemon-thread
-            # traceback racing the diagnosis — but first reap the
-            # still-pending dispatcher task so nothing warns at GC time
-            try:
-                tasks = asyncio.all_tasks(self._loop)
-                for task in tasks:
-                    task.cancel()
-                if tasks:
-                    self._loop.run_until_complete(
-                        asyncio.gather(*tasks, return_exceptions=True)
-                    )
-            except RuntimeError:  # pragma: no cover - stopped again
-                pass
+            # traceback racing the diagnosis
+            pass
+        # reap what is left (the dispatcher after an external stop, a
+        # server's tasks when the classifier closes under it)
+        try:
+            tasks = asyncio.all_tasks(self._loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                self._loop.run_until_complete(
+                    asyncio.gather(*tasks, return_exceptions=True)
+                )
+        except RuntimeError:  # pragma: no cover - stopped again
+            pass
 
     # ------------------------------------------------------------------
     # submit / gather
@@ -624,7 +643,7 @@ class BatchClassifier:
             if not self._thread.is_alive():
                 coro.close()
                 raise ServiceUnresponsiveError(
-                    "dispatcher thread is dead (event loop crashed or was "
+                    "event loop thread is dead (the loop crashed or was "
                     "stopped externally); the classifier cannot accept work"
                 )
             return asyncio.run_coroutine_threadsafe(coro, self._loop)
@@ -640,7 +659,7 @@ class BatchClassifier:
         age = _registry.heartbeat_age(DISPATCHER_HEARTBEAT)
         heartbeat = "never" if age is None else f"{age:.3f}s ago"
         return (
-            f"dispatcher thread alive={self._thread.is_alive()}, "
+            f"event loop thread alive={self._thread.is_alive()}, "
             f"closed={self._closed}, "
             f"pending={queue.qsize() if queue is not None else 0}"
             f"/{self._core.max_pending}, "
@@ -678,9 +697,7 @@ class BatchClassifier:
         forever; a dispatcher whose loop has *died* is diagnosed
         immediately, whatever the timeout.
         """
-        return self._await_handle(
-            self._schedule(mode, self._core.enqueue(config, mode)), timeout
-        )
+        return self.submit_many([config], mode=mode, timeout=timeout)[0]
 
     def submit_many(
         self,
@@ -693,7 +710,8 @@ class BatchClassifier:
 
         Semantically identical to calling :meth:`submit` per item, but
         the keying/lookup loop runs on the dispatcher's event loop in
-        one hop — this is the high-throughput path for warm
+        one hop, and its cold misses land in one batch while the queue
+        has room — this is the high-throughput path for warm
         duplicate-heavy workloads, where per-request thread handoff
         would otherwise dominate (the E20 benchmark measures exactly
         this). Blocks while the pending queue is full, like
@@ -703,29 +721,6 @@ class BatchClassifier:
         return self._await_handle(
             self._schedule(mode, self._core.enqueue_many(configs, mode)),
             timeout,
-        )
-
-    def schedule_admit(
-        self,
-        configs: Iterable[Configuration],
-        *,
-        mode: str = "decide",
-        retry_after: float = 1.0,
-    ) -> "Future":
-        """Schedule an admission-controlled batch; returns the handle.
-
-        The returned :class:`concurrent.futures.Future` resolves to a
-        ``List[Ticket]`` — or raises
-        :class:`ServiceSaturatedError` when the batch's cold misses
-        exceed the queue's free capacity (nothing is enqueued in that
-        case). Unlike :meth:`submit_many` this never blocks on a full
-        queue, which is what an event-loop caller needs: the async HTTP
-        server awaits the handle (``asyncio.wrap_future``) and turns
-        saturation into ``429 Too Many Requests``.
-        """
-        configs = list(configs)
-        return self._schedule(
-            mode, self._core.admit_many(configs, mode, retry_after=retry_after)
         )
 
     def gather(self, tickets: Iterable[Ticket], timeout: Optional[float] = None
@@ -773,7 +768,8 @@ class BatchClassifier:
         dispatcher is still draining — the dispatcher is never aborted
         mid-drain, so pending tickets still resolve, but the (daemon)
         loop thread is then left to finish on its own and its loop is
-        not closed.
+        not closed. A server still serving on the loop stops with it:
+        shut the server down first.
         """
         with self._submit_lock:
             if self._closed:
@@ -785,13 +781,9 @@ class BatchClassifier:
             if not self._loop.is_closed():
                 self._loop.close()
             return
-
-        async def _sentinel() -> None:
-            await self._core._ensure_queue().put(None)
-
         try:
             asyncio.run_coroutine_threadsafe(
-                _sentinel(), self._loop
+                self._core.stop(), self._loop
             ).result(timeout)
         except FuturesTimeoutError:
             pass  # the put stays scheduled; the dispatcher will see it

@@ -22,9 +22,9 @@ without parsing log lines. Three groups of series are exported:
   ``le`` semantics) and always sum to ``_count``.
 
 Everything here is stdlib-only and loop-agnostic: observations are
-single ``int``/``float`` updates (atomic enough under the GIL for the
-two threads involved — the server loop and the dispatcher loop), and
-rendering takes a consistent-enough snapshot for monitoring purposes.
+single ``int``/``float`` updates, all made on the one event loop the
+server and the dispatcher share, and rendering takes a
+consistent-enough snapshot for monitoring purposes.
 """
 
 from __future__ import annotations

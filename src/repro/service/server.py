@@ -1,12 +1,13 @@
 """``repro-radio serve``: a pure-asyncio HTTP front end for real traffic.
 
 The server is built directly on :func:`asyncio.start_server` (stdlib
-only, no third-party dependencies) and talks natively to the asyncio
-batch core behind :class:`~repro.service.batcher.BatchClassifier`: HTTP
-handlers never block an event loop — requests are admitted with
-``schedule_admit`` and awaited as futures, so one saturated client can
-never wedge the accept loop. Unlike the PR-2 thread-per-connection
-front end, saturation and slowness now have *defined* behavior:
+only, no third-party dependencies) and serves on the event loop of its
+:class:`~repro.service.batcher.BatchClassifier`: HTTP handlers await the
+batch core's admission directly on that loop, and only the
+classification of a batch's cold misses leaves it, for one worker
+thread. Warm hits, deadlines, ``/healthz`` and ``/metrics`` keep
+answering while a batch classifies, and one saturated client can never
+wedge the accept loop. Saturation and slowness have *defined* behavior:
 
 * **Connection limit** — at most ``max_connections`` concurrent
   connections; extras receive an immediate ``503`` and are closed.
@@ -52,9 +53,10 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import socket
 import sys
-import threading
 import time
+from concurrent.futures import CancelledError as FuturesCancelledError
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.runtime import STATE as _OBS
@@ -130,14 +132,16 @@ class _RequestAborted(Exception):
 
 
 class ClassificationServer:
-    """Asyncio HTTP server owning the shared classifier.
+    """Asyncio HTTP server on its classifier's event loop.
 
     The constructor binds the listening socket immediately (``port=0``
     picks a free port; ``server_address`` is the bound address), but
-    serving happens in :meth:`serve_forever` — call it on any thread.
-    :meth:`shutdown` (thread-safe) triggers the graceful drain;
-    :meth:`server_close` releases the loop. The surface deliberately
-    mirrors ``socketserver`` so PR-2 callers keep working unchanged.
+    accepting starts in :meth:`serve_forever`, which blocks until
+    :meth:`shutdown` (thread-safe) completes the graceful drain. Call
+    it on any thread: the handlers run on the classifier's loop thread
+    either way. :meth:`server_close` releases the listening socket. The
+    surface deliberately mirrors ``socketserver``, so callers written
+    against it work unchanged.
     """
 
     def __init__(
@@ -163,100 +167,93 @@ class ClassificationServer:
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        # batch sizes are recorded by the dispatcher thread; attach the
+        # batch sizes are recorded on the loop thread; attach the
         # histogram unless the caller wired an observer already
         if classifier.on_batch is None:
             classifier.on_batch = self.metrics.observe_batch
         self._connections: Dict["asyncio.Task", _ConnState] = {}
         self._draining = False
-        self._drained = False
-        self._shutdown_requested = threading.Event()
-        self._stopped = threading.Event()
-        self._shutdown_async: Optional[asyncio.Event] = None
-        self._loop = asyncio.new_event_loop()
+        self._loop = classifier._loop
 
         async def _bind() -> "asyncio.AbstractServer":
+            # built on the loop: a 3.9 asyncio.Event binds the
+            # constructing thread's loop
+            self._drained = asyncio.Event()
             return await asyncio.start_server(
-                self._handle_connection, address[0], address[1]
+                self._handle_connection, sock=sock, start_serving=False
             )
 
+        # Listening from here on, like socketserver; connections wait in
+        # the backlog until serve_forever() starts accepting. The explicit
+        # IPPROTO_TCP lets asyncio set TCP_NODELAY on accepted sockets.
+        family = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_STREAM, socket.IPPROTO_TCP)
         try:
-            self._server = self._loop.run_until_complete(_bind())
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(address)
+            sock.listen(100)
+            self._server = self._call(_bind())
         except BaseException:
-            self._loop.close()
+            sock.close()
             raise
-        self.server_address = self._server.sockets[0].getsockname()[:2]
+        self.server_address = sock.getsockname()[:2]
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def _call(self, coro):
+        """Run ``coro`` on the classifier's loop and return its result."""
+        if not self.classifier._thread.is_alive():
+            coro.close()
+            raise ServiceClosedError("the classifier's event loop has stopped")
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
     def serve_forever(self) -> None:
-        """Run the accept/serve loop until :meth:`shutdown` completes the
-        graceful drain. Blocking; run it on a thread to serve in the
-        background (the tests and docs do exactly that)."""
-        asyncio.set_event_loop(self._loop)
+        """Accept and serve until :meth:`shutdown` completes the graceful
+        drain. Blocking; run it on a thread to serve in the background
+        (the tests and docs do exactly that). Returns at once after a
+        shutdown, or when the classifier is closed under the server."""
         try:
-            self._loop.run_until_complete(self._serve_main())
-        finally:
-            self._stopped.set()
+            self._call(self._serve())
+        except (ServiceClosedError, FuturesCancelledError):
+            pass  # the classifier closed; its loop reaped the serve task
+
+    async def _serve(self) -> None:
+        if not self._draining:
+            await self._server.start_serving()
+        await self._drained.wait()
 
     def shutdown(self) -> None:
-        """Request a graceful drain and wait for serving to stop.
+        """Drain gracefully and wait for serving to stop.
 
         Thread-safe and idempotent. In-flight requests get
         ``drain_timeout`` seconds to finish; idle keep-alive
         connections are closed immediately; new connections are
-        refused. If the serve loop is not running (interrupted, or
-        never started) the drain executes inline on this thread.
+        refused. The drain runs on the classifier's loop whether or not
+        :meth:`serve_forever` ever ran.
         """
-        self._shutdown_requested.set()
-        if self._stopped.is_set():
-            return
-        if self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._wake_shutdown)
-            self._stopped.wait(self.drain_timeout + 10.0)
-        else:
-            try:
-                self._loop.run_until_complete(self._drain())
-            except RuntimeError:  # pragma: no cover - concurrent starter
-                pass
-            finally:
-                self._stopped.set()
+        try:
+            self._call(self._drain())
+        except ServiceClosedError:
+            pass  # the loop is gone, and its connections with it
 
     def server_close(self) -> None:
-        """Release the listening sockets and close the server's loop
-        (call after :meth:`shutdown`; the classifier is closed by its
-        owner, not here)."""
-        if self._loop.is_closed() or self._loop.is_running():
-            return
-        self._server.close()
-        try:
-            self._loop.run_until_complete(self._server.wait_closed())
-        except RuntimeError:  # pragma: no cover - defensive
-            pass
-        self._loop.close()
+        """Release the listening socket if :meth:`shutdown` has not (the
+        loop belongs to the classifier, which its owner closes)."""
+        if self.classifier._thread.is_alive():
+            self._loop.call_soon_threadsafe(self._server.close)
 
     @property
     def connection_count(self) -> int:
         """Currently-open client connections (the limit's measure)."""
         return len(self._connections)
 
-    def _wake_shutdown(self) -> None:
-        if self._shutdown_async is not None:
-            self._shutdown_async.set()
-
-    async def _serve_main(self) -> None:
-        self._shutdown_async = asyncio.Event()
-        if self._shutdown_requested.is_set():
-            self._shutdown_async.set()
-        await self._shutdown_async.wait()
-        await self._drain()
-
     async def _drain(self) -> None:
-        """Stop accepting, cut idle connections, wait out busy ones."""
-        if self._drained:
+        """Stop accepting, cut idle connections, wait out busy ones (a
+        second call waits for the first one's drain)."""
+        if self._draining:
+            await self._drained.wait()
             return
-        self._drained = True
         self._draining = True
         self._server.close()
         await self._server.wait_closed()
@@ -273,6 +270,7 @@ class ClassificationServer:
             if pending:
                 await asyncio.wait(pending, timeout=1.0)
         self._log(event="drain", abandoned=abandoned)
+        self._drained.set()
 
     # ------------------------------------------------------------------
     # logging
@@ -630,9 +628,10 @@ class ClassificationServer:
                 parsed.append(None)
                 responses.append(error_response(str(exc)))
 
-        # Admit each mode's well-formed items in one non-blocking call;
-        # saturation refuses the whole request with 429 (cancelling any
-        # tickets the other mode group already got).
+        # Admit each mode's well-formed items in one call that never
+        # suspends, so they land in one batch; saturation refuses the
+        # whole request with 429 (cancelling any tickets the other mode
+        # group already got).
         tickets: Dict[int, Ticket] = {}
         try:
             for mode in MODES:
@@ -643,10 +642,9 @@ class ClassificationServer:
                 ]
                 if not index:
                     continue
-                handle = self.classifier.schedule_admit(
-                    [parsed[i].config for i in index], mode=mode
+                batch = await self.classifier._core.admit_many(
+                    [parsed[i].config for i in index], mode
                 )
-                batch = await asyncio.wrap_future(handle)
                 tickets.update(zip(index, batch))
                 if _OBS.enabled:
                     # same digest function the dispatcher stamps into
@@ -675,30 +673,29 @@ class ClassificationServer:
                 (),
             )
 
-        server_faults = set()  # indices whose failure is ours, not the client's
+        # warm hits resolved at admission; only cold tickets are awaited
+        waiting = [
+            asyncio.wrap_future(t.future) for t in tickets.values() if not t.done()
+        ]
         try:
-            awaited = await asyncio.gather(
-                *(
-                    asyncio.wrap_future(tickets[i].future)
-                    for i in sorted(tickets)
-                ),
-                return_exceptions=True,
-            )
+            if waiting:
+                await asyncio.wait(waiting)
         except asyncio.CancelledError:
             # deadline unwind: abandon every pending ticket so the
             # dispatcher drops (never classifies) the queued work
             for ticket in tickets.values():
                 ticket.cancel()
             raise
-        for i, outcome in zip(sorted(tickets), awaited):
-            request = parsed[i]
-            if isinstance(outcome, BaseException):
-                responses[i] = error_response(
-                    f"classification failed: {outcome}"
-                )
+        server_faults = set()  # indices whose failure is ours, not the client's
+        for i in sorted(tickets):
+            future = tickets[i].future
+            exc = future.exception()
+            if exc is not None:
+                responses[i] = error_response(f"classification failed: {exc}")
                 server_faults.add(i)
                 continue
-            responses[i] = response_for(request, tickets[i].key, dict(outcome))
+            record = dict(future.result())
+            responses[i] = response_for(parsed[i], tickets[i].key, record)
 
         # hit/miss/collapse accounting rides on every successful
         # response (snapshot at assembly time; see BatchClassifier.meta)

@@ -9,6 +9,9 @@ every ``from conftest import ...`` working no matter which file wins.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core.configuration import Configuration, line_configuration
@@ -60,3 +63,58 @@ def sym_path():
     so nobody's history ever differs — kept as the canonical infeasible
     path (the classifier rejects it immediately)."""
     return line_configuration([0, 0, 0])
+
+
+# ----------------------------------------------------------------------
+# holding the service's classification in flight
+# ----------------------------------------------------------------------
+class ClassificationGate:
+    """Holds every miss classification until :meth:`release`.
+
+    ``entered`` is set once a classification has started (and is
+    waiting); after :meth:`release` every held and later one runs.
+    """
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.released = threading.Event()
+
+    def release(self) -> None:
+        """Let the held classification, and every later one, run."""
+        self.released.set()
+
+    def release_when(self, predicate, timeout: float = 10.0) -> None:
+        """Release from a background thread once ``predicate()`` holds
+        (or after ``timeout`` seconds)."""
+
+        def wait() -> None:
+            deadline = time.monotonic() + timeout
+            while not predicate() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            self.release()
+
+        threading.Thread(target=wait, daemon=True).start()
+
+
+@pytest.fixture
+def held_classification(monkeypatch):
+    """Block the engine's miss classification on a gate.
+
+    The service runs ``repro.engine.pipeline._classify_records`` on its
+    worker thread, so a held batch keeps its requests in flight while
+    the event loop serves on; requests queued meanwhile form the next
+    batch. The gate is released at teardown.
+    """
+    import repro.engine.pipeline as pipeline
+
+    gate = ClassificationGate()
+    classify = pipeline._classify_records
+
+    def held(configs, measure_rounds, algorithm):
+        gate.entered.set()
+        gate.released.wait(30)
+        return classify(configs, measure_rounds, algorithm)
+
+    monkeypatch.setattr(pipeline, "_classify_records", held)
+    yield gate
+    gate.release()

@@ -277,13 +277,13 @@ def test_service_auto_routes_through_batch_kernel():
     from repro.service.batcher import BatchClassifier
 
     cfgs = random_config_batch(20, base_seed=11)
-    service = BatchClassifier(algorithm="auto", batch_window=0.0)
+    service = BatchClassifier(algorithm="auto")
     try:
         tickets = service.submit_many(cfgs)
         got = [t.result(timeout=30) for t in tickets]
     finally:
         service.close()
-    serial = BatchClassifier(algorithm="compiled", batch_window=0.0)
+    serial = BatchClassifier(algorithm="compiled")
     try:
         expected = [
             t.result(timeout=30) for t in serial.submit_many(cfgs)

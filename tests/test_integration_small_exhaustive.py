@@ -2,9 +2,10 @@
 
 Every connected graph shape on up to 4 nodes (all 5-node shapes with
 span 1), crossed with every normalized tag vector, is pushed through the
-full validation stack: faithful vs fast classifier, distributed canonical
-execution, Lemma 3.9 per-phase equivalence, simulation ground truth,
-automorphism necessary condition, and the final election outcome.
+full validation stack: the default (compiled) classifier vs the paper's
+faithful reference classifier, distributed canonical execution, Lemma 3.9
+per-phase equivalence, simulation ground truth, automorphism necessary
+condition, and the final election outcome.
 """
 
 import pytest

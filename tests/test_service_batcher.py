@@ -6,6 +6,7 @@ ticket's report is bit-for-bit what serial ``decide``/``elect`` produce
 (:func:`repro.service.schema.serial_report`).
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -35,7 +36,7 @@ def relabel(cfg: Configuration, perm) -> Configuration:
 
 @pytest.fixture()
 def svc():
-    classifier = BatchClassifier(batch_window=0.001)
+    classifier = BatchClassifier()
     yield classifier
     classifier.close()
 
@@ -84,17 +85,19 @@ class TestCoalescing:
         iso = relabel(cfg, {0: 2, 1: 1, 2: 0})
         assert svc.submit(cfg).key == svc.submit(iso).key
 
-    def test_concurrent_submitters_coalesce(self):
+    def test_concurrent_submitters_coalesce(self, held_classification):
         """Threads hammering the same configuration produce exactly one
-        classification; everyone gets the identical record."""
+        classification; everyone gets the identical record. The first
+        classification is held until all 16 have submitted."""
         cfg = Configuration([(0, 1), (1, 2), (2, 3)], {0: 0, 1: 2, 2: 0, 3: 1})
         reference = serial_report(cfg, "decide")
         results = []
-        with BatchClassifier(batch_window=0.01) as svc:
+        with BatchClassifier() as svc:
             def worker():
                 results.append(svc.submit(cfg).report())
 
             threads = [threading.Thread(target=worker) for _ in range(16)]
+            held_classification.release_when(lambda: svc.stats.submitted == 16)
             for t in threads:
                 t.start()
             for t in threads:
@@ -104,21 +107,27 @@ class TestCoalescing:
 
 
 class TestBatchingAndBackpressure:
-    def test_submit_all_then_gather_batches(self):
+    def test_submit_all_then_gather_batches(self, held_classification):
         """submit/gather over unique configs forms multi-item batches
-        (the dispatcher drains the queue, not one item at a time)."""
+        (the dispatcher drains the queue, not one item at a time): the
+        submits made while the first batch is held form the next one."""
         configs = random_config_batch(24, base_seed=50, n_hi=6)
-        with BatchClassifier(batch_window=0.05, max_batch=64) as svc:
+        with BatchClassifier(max_batch=64) as svc:
             tickets = [svc.submit(c) for c in configs]
+            held_classification.release()
             records = svc.gather(tickets)
             assert svc.stats.largest_batch > 1
         expected = [census_record(c.normalize()) for c in configs]
         assert records == expected
 
-    def test_max_batch_bounds_batch_size(self):
+    def test_max_batch_bounds_batch_size(self, held_classification):
+        """The queue fills while the first batch is held; no batch
+        drained from it exceeds ``max_batch``."""
         configs = random_config_batch(12, base_seed=51, n_hi=5)
-        with BatchClassifier(max_batch=4, batch_window=0.05) as svc:
-            svc.gather([svc.submit(c) for c in configs])
+        with BatchClassifier(max_batch=4) as svc:
+            tickets = [svc.submit(c) for c in configs]
+            held_classification.release()
+            svc.gather(tickets)
             assert svc.stats.largest_batch <= 4
             assert svc.stats.batches >= 3
 
@@ -127,15 +136,10 @@ class TestBatchingAndBackpressure:
         rather than erroring or dropping; every ticket still resolves
         to the right record."""
         configs = random_config_batch(60, base_seed=52, n_hi=5)
-        with BatchClassifier(max_pending=2, max_batch=2, batch_window=0) as svc:
+        with BatchClassifier(max_pending=2, max_batch=2) as svc:
             tickets = [svc.submit(c) for c in configs]
             records = svc.gather(tickets)
         assert records == [census_record(c.normalize()) for c in configs]
-
-    def test_zero_window_dispatches_immediately(self):
-        cfg = Configuration([(0, 1)], {0: 0, 1: 1})
-        with BatchClassifier(batch_window=0) as svc:
-            assert svc.submit(cfg).result(timeout=5)["feasible"] is True
 
     def test_close_during_backpressured_submit_many_resolves_everything(self):
         """Regression: with a 1-slot queue, close() racing a large
@@ -144,7 +148,7 @@ class TestBatchingAndBackpressure:
         resolves, and nothing deadlocks."""
         configs = random_config_batch(40, base_seed=54, n_hi=5)
         for _ in range(5):  # the race is timing-dependent; hammer it
-            svc = BatchClassifier(max_pending=1, max_batch=2, batch_window=0)
+            svc = BatchClassifier(max_pending=1, max_batch=2)
             result = {}
 
             def producer():
@@ -159,25 +163,37 @@ class TestBatchingAndBackpressure:
             records = [t.result(timeout=20) for t in result["tickets"]]
             assert records == [census_record(c.normalize()) for c in configs]
 
-    def test_cross_mode_duplicate_in_one_batch_classifies_once(self):
+    def test_cross_mode_duplicate_in_one_batch_classifies_once(
+        self, held_classification
+    ):
         """An elect and a decide request for the same key in one batch
         cost one classification: the elect sub-batch runs first and its
         rounds-bearing record satisfies the decide lookup."""
         cfg = Configuration([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0})
-        # a generous straggler window keeps both submits in one batch
-        with BatchClassifier(batch_window=0.3) as svc:
+        blocker = Configuration([(0, 1)], {0: 0, 1: 1})
+        with BatchClassifier() as svc:
+            # both submits queue behind a held blocker, so they are
+            # drained into one batch
+            svc.submit(blocker)
+            assert held_classification.entered.wait(10)
             decide_t = svc.submit(cfg, mode="decide")
             elect_t = svc.submit(cfg, mode="elect")
+            held_classification.release()
             assert elect_t.report() == serial_report(cfg, "elect")
             assert decide_t.report() == serial_report(cfg, "decide")
-            assert svc.stats.engine.classified == 1
+            # one for the blocker, one for the shared key
+            assert svc.stats.engine.classified == 2
 
 
 class TestLifecycleAndErrors:
-    def test_close_resolves_pending_then_rejects(self):
+    def test_close_resolves_pending_then_rejects(self, held_classification):
+        """close() while work is held in flight still resolves every
+        pending ticket, then refuses new submits."""
         configs = random_config_batch(6, base_seed=53, n_hi=5)
-        svc = BatchClassifier(batch_window=0.05)
+        svc = BatchClassifier()
         tickets = [svc.submit(c) for c in configs]
+        assert held_classification.entered.wait(10)
+        held_classification.release_when(lambda: svc._closed)
         svc.close()
         for t, c in zip(tickets, configs):
             assert t.result(timeout=5) == census_record(c.normalize())
@@ -194,8 +210,6 @@ class TestLifecycleAndErrors:
             BatchClassifier(max_batch=0)
         with pytest.raises(ValueError):
             BatchClassifier(max_pending=0)
-        with pytest.raises(ValueError):
-            BatchClassifier(batch_window=-1)
 
     def test_shared_cache_with_census_pipeline(self, tmp_path):
         """A JSONL cache written by a rounds census pre-warms the
@@ -226,12 +240,14 @@ class TestTimeoutDiagnostics:
     """Regression: pre-PR-6, submit/gather had no timeout path — a dead
     or wedged event loop blocked callers forever with no diagnosis."""
 
-    def test_gather_timeout_is_diagnostic_not_opaque(self):
+    def test_gather_timeout_is_diagnostic_not_opaque(
+        self, held_classification
+    ):
         """gather(timeout=) on a stalled dispatcher raises
         ServiceUnresponsiveError naming the ticket and the dispatcher
         state, instead of a bare TimeoutError (or blocking forever)."""
         cfg = Configuration([(0, 1)], {0: 0, 1: 1})
-        svc = BatchClassifier(batch_window=30)  # dispatcher sits in its window
+        svc = BatchClassifier()  # its classification is held
         try:
             ticket = svc.submit(cfg)
             started = time.monotonic()
@@ -241,12 +257,13 @@ class TestTimeoutDiagnostics:
             message = str(excinfo.value)
             assert ticket.key in message and "alive=True" in message
         finally:
-            svc.close()  # the sentinel cuts the window short; must not hang
+            held_classification.release()
+            svc.close()  # must not hang
 
     def test_submit_timeout_on_wedged_loop(self):
         """submit(timeout=) while the event loop is blocked raises a
         diagnostic error promptly instead of waiting out the wedge."""
-        svc = BatchClassifier(batch_window=0.001)
+        svc = BatchClassifier()
         try:
             release = threading.Event()
             svc._loop.call_soon_threadsafe(release.wait, 2)  # wedge the loop
@@ -264,7 +281,7 @@ class TestTimeoutDiagnostics:
         """The pre-fix hang: an externally stopped event loop made
         submit block forever. Now a dead dispatcher thread is diagnosed
         at submit time — with or without a timeout."""
-        svc = BatchClassifier(batch_window=0.001)
+        svc = BatchClassifier()
         svc._loop.call_soon_threadsafe(svc._loop.stop)
         svc._thread.join(timeout=5)
         assert not svc._thread.is_alive()
@@ -278,11 +295,14 @@ class TestTimeoutDiagnostics:
         svc.close(timeout=1)  # close must not hang on the dead loop either
 
     def test_admission_control_is_atomic(self):
-        """schedule_admit refuses an oversized cold batch without
-        enqueuing anything, and the refusal is accounted."""
+        """Admission (the core's admit_many, which the HTTP server
+        awaits) refuses an oversized cold batch without enqueuing
+        anything, and the refusal is accounted."""
         configs = random_config_batch(9, base_seed=55, n_hi=5)
-        with BatchClassifier(max_pending=2, batch_window=0.2) as svc:
-            handle = svc.schedule_admit(configs)
+        with BatchClassifier(max_pending=2) as svc:
+            handle = asyncio.run_coroutine_threadsafe(
+                svc._core.admit_many(configs, "decide"), svc._loop
+            )
             with pytest.raises(ServiceSaturatedError) as excinfo:
                 handle.result(timeout=10)
             assert excinfo.value.needed >= excinfo.value.capacity
@@ -292,16 +312,21 @@ class TestTimeoutDiagnostics:
             record = svc.submit(configs[0]).result(timeout=10)
             assert record == census_record(configs[0].normalize())
 
-    def test_cancelled_tickets_free_their_slots(self):
+    def test_cancelled_tickets_free_their_slots(self, held_classification):
         """A queued ticket cancelled before its batch fires is dropped
         by the dispatcher, not classified."""
         configs = random_config_batch(3, base_seed=56, n_hi=5)
-        with BatchClassifier(batch_window=0.3) as svc:
+        blocker = Configuration([(0, 1)], {0: 0, 1: 1})
+        with BatchClassifier() as svc:
+            svc.submit(blocker)  # held: the configs queue behind it
+            assert held_classification.entered.wait(10)
             tickets = svc.submit_many(configs)
             assert tickets[0].cancel()
+            held_classification.release()
             records = svc.gather(tickets[1:], timeout=10)
             assert records == [
                 census_record(c.normalize()) for c in configs[1:]
             ]
             assert svc.stats.cancelled >= 1
-            assert svc.stats.engine.classified == len(configs) - 1
+            # the blocker's classification plus the uncancelled configs
+            assert svc.stats.engine.classified == len(configs)

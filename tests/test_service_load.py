@@ -25,7 +25,7 @@ from repro.service import BatchClassifier, make_server, serial_report
 @contextlib.contextmanager
 def running_server(*, classifier_kw=None, **server_kw):
     """A served BatchClassifier on an ephemeral port, torn down fully."""
-    classifier = BatchClassifier(**{"batch_window": 0.001, **(classifier_kw or {})})
+    classifier = BatchClassifier(**(classifier_kw or {}))
     server = make_server(port=0, classifier=classifier, quiet=True, **server_kw)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -119,31 +119,35 @@ class TestDeadlines:
             assert headers.get("connection") == "close"
             assert server.classifier.stats.submitted == 0
 
-    def test_deadline_during_classification_frees_batcher_slot(self):
+    def test_deadline_during_classification_frees_batcher_slot(
+        self, held_classification
+    ):
         """A request that blows its deadline mid-classification gets 503
         and its queued ticket is cancelled: the dispatcher drops (never
         classifies) the abandoned item, so the slot is freed rather than
         leaked and the service stays responsive."""
         cold = {"edges": [[0, 1], [1, 2], [2, 3]],
                 "tags": {"0": 3, "1": 1, "2": 4, "3": 1}}
-        classifier_kw = {"batch_window": 1.0}  # cold answers take ~1s
-        with running_server(
-            classifier_kw=classifier_kw, request_timeout=0.3
-        ) as server:
+        blocker = Configuration([(0, 1)], {0: 0, 1: 1})
+        with running_server(request_timeout=0.3) as server:
             svc = server.classifier
+            # a held blocker batch keeps the cold request queued
+            svc.submit(blocker)
+            assert held_classification.entered.wait(10)
             started = time.monotonic()
             status, body, _ = post(server, cold)
             assert status == 503
             assert "deadline" in body["error"]
             assert time.monotonic() - started < 2
             assert server.metrics.deadline_hits >= 1
-            # let the dispatcher's straggler window expire and observe
-            # the cancelled item being dropped, not classified
+            # release the blocker and observe the cancelled item being
+            # dropped, not classified
+            held_classification.release()
             deadline = time.monotonic() + 5
             while svc.stats.cancelled == 0 and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert svc.stats.cancelled >= 1
-            assert svc.stats.engine.classified == 0
+            assert svc.stats.engine.classified == 1  # the blocker only
             # the service is not wedged: a warm request (primed via the
             # library path, which has no HTTP deadline) answers fast
             cfg = line_configuration([0, 1, 0])
@@ -172,11 +176,12 @@ class TestDisconnects:
             status, body, _ = post(server, {"line": [0, 1, 0]})
             assert status == 200 and body["ok"]
 
-    def test_disconnect_during_classification_cancels_cleanly(self):
+    def test_disconnect_during_classification_cancels_cleanly(
+        self, held_classification
+    ):
         """A client that vanishes while its request is being classified
         must not wedge the connection handler or the dispatcher."""
-        classifier_kw = {"batch_window": 0.4}
-        with running_server(classifier_kw=classifier_kw) as server:
+        with running_server() as server:
             payload = json.dumps(
                 {"edges": [[0, 1], [1, 2]], "tags": {"0": 2, "1": 0, "2": 5}}
             ).encode()
@@ -186,7 +191,9 @@ class TestDisconnects:
                 + f"Content-Length: {len(payload)}\r\n\r\n".encode()
                 + payload
             )
-            sock.close()  # gone before the batch window closes
+            assert held_classification.entered.wait(10)
+            sock.close()  # gone while its batch classifies
+            held_classification.release()
             deadline = time.monotonic() + 5
             while server.connection_count > 0 and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -253,14 +260,13 @@ class TestConnectionLimit:
 
 
 class TestGracefulDrain:
-    def test_shutdown_drains_in_flight_requests(self):
+    def test_shutdown_drains_in_flight_requests(self, held_classification):
         """shutdown() called mid-request: the in-flight response still
         arrives, bit-for-bit correct, while new connections are refused."""
         cfg = Configuration([(0, 1), (1, 2)], {0: 1, 1: 0, 2: 2})
         payload = {**{"edges": [[0, 1], [1, 2]],
                       "tags": {"0": 1, "1": 0, "2": 2}}, "mode": "elect"}
-        classifier_kw = {"batch_window": 0.6}  # hold the request in flight
-        classifier = BatchClassifier(**classifier_kw)
+        classifier = BatchClassifier()
         server = make_server(
             port=0, classifier=classifier, quiet=True, drain_timeout=10
         )
@@ -274,7 +280,10 @@ class TestGracefulDrain:
         try:
             requester = threading.Thread(target=client)
             requester.start()
-            time.sleep(0.2)  # the request is queued, awaiting its batch
+            # the request is held in classification; the gate opens
+            # once the drain has begun
+            assert held_classification.entered.wait(10)
+            held_classification.release_when(lambda: server._draining)
             server.shutdown()  # blocks until the drain completes
             requester.join(timeout=10)
             assert not requester.is_alive(), "in-flight response was dropped"

@@ -40,7 +40,7 @@ def independent_parse(text):
 @pytest.fixture()
 def served():
     """A live server plus helpers; fresh per test (counters start at 0)."""
-    classifier = BatchClassifier(batch_window=0.001)
+    classifier = BatchClassifier()
     server = make_server(port=0, classifier=classifier, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -2,6 +2,7 @@
 
 from conftest import random_config_batch
 
+import repro.analysis.validation as validation
 from repro.analysis.validation import all_ok, validate, validate_many
 from repro.core.configuration import Configuration, line_configuration
 from repro.graphs.families import g_m, h_m, s_m
@@ -46,3 +47,20 @@ class TestValidate:
         assert validate(Configuration([(0, 1)], {0: 0, 1: 0})).ok  # sym pair
         assert validate(line_configuration([0] * 6)).ok  # all-zero path
         assert validate(line_configuration([0, 3, 0, 3, 0])).ok
+
+    def test_divergence_from_the_reference_classifier_is_reported(
+        self, monkeypatch
+    ):
+        """Check 1 compares the default classifier with the paper's
+        faithful Refine: a reference trace that differs is a failure."""
+        classify = validation.classify
+
+        def diverging(config, **kwargs):
+            if kwargs.get("algorithm") == "reference":
+                return classify(h_m(1), **kwargs)
+            return classify(config, **kwargs)
+
+        monkeypatch.setattr(validation, "classify", diverging)
+        report = validate(h_m(2))
+        assert not report.ok
+        assert any("reference" in failure for failure in report.failures)
