@@ -28,7 +28,8 @@ import pytest
 
 from repro.core.classifier import classify, reference_classify
 from repro.core.compiled import compiled_classify
-from repro.core.fast_classifier import fast_classify, traces_equal
+from repro.core.fast_classifier import fast_classify
+from repro.core.trace import traces_equal
 from repro.graphs.enumeration import enumerate_configurations
 from repro.graphs.families import g_m, h_m, s_m
 from repro.reporting.bench import BenchResult, write_bench_result

@@ -38,10 +38,10 @@ from repro.engine import (
     EnumerationWorkload,
     RandomGnpWorkload,
     WorkQueue,
-    census_queue_worker,
-    collect_census_queue,
+    collect_queue,
     create_census_queue,
     distributed_census,
+    queue_worker,
     sharded_census,
 )
 from repro.reporting.bench import BenchResult, write_bench_result
@@ -195,13 +195,13 @@ def test_sigkill_one_worker_mid_run_census_completes(tmp_path, serial_run):
     queue.close()  # SQLite connections must not cross a fork
 
     victim = multiprocessing.Process(
-        target=census_queue_worker,
+        target=queue_worker,
         args=(path,),
         kwargs={"owner": "victim", "poll": 0.05},
         daemon=True,
     )
     survivor = multiprocessing.Process(
-        target=census_queue_worker,
+        target=queue_worker,
         args=(path,),
         kwargs={"owner": "survivor", "poll": 0.05},
         daemon=True,
@@ -230,12 +230,12 @@ def test_sigkill_one_worker_mid_run_census_completes(tmp_path, serial_run):
     # somehow exited early, finish the queue in-process
     with WorkQueue(path) as check:
         while not check.finished():
-            census_queue_worker(path, wait=False, poll=0.05)
+            queue_worker(path, wait=False, poll=0.05)
             if not check.finished():
                 time.sleep(0.05)
         counts = check.counts()
 
-    run = collect_census_queue(path, wait=False)
+    run = collect_queue(path, wait=False)
     assert run.result.rows == serial_run.result.rows
     assert run.stats.total_configs == serial_run.stats.total_configs
     assert counts["done"] == counts["total"] == NUM_SHARDS

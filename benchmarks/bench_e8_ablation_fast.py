@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.classifier import classify
 from repro.core.configuration import Configuration
-from repro.core.fast_classifier import fast_classify, traces_equal
+from repro.core.fast_classifier import fast_classify
+from repro.core.trace import traces_equal
 from repro.graphs.generators import path_edges
 from repro.graphs.tags import one_early_riser
 

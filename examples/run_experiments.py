@@ -33,8 +33,9 @@ from repro.baselines.willard import willard_algorithm
 from repro.core.classifier import classifier_ops, classify, is_feasible
 from repro.core.configuration import Configuration
 from repro.core.election import elect_leader
-from repro.core.fast_classifier import fast_classify, traces_equal
+from repro.core.fast_classifier import fast_classify
 from repro.core.partition import partition_key
+from repro.core.trace import traces_equal
 from repro.graphs.enumeration import enumerate_configurations
 from repro.graphs.families import g_m, g_m_size, h_m, s_m
 from repro.graphs.generators import complete_configuration, path_edges

@@ -28,7 +28,7 @@ from typing import List
 from ..core.classifier import classify
 from ..core.configuration import Configuration
 from ..core.election import elect_leader
-from ..core.fast_classifier import traces_equal
+from ..core.trace import traces_equal
 from ..core.partition import partition_key
 from .automorphisms import has_fixed_node
 

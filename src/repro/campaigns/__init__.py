@@ -14,9 +14,10 @@ Three execution paths, identical results:
 
 * :func:`run_campaign` — in-process, shard-wise through the vectorized
   batch classification kernel;
-* :func:`distributed_campaign` (+ the ``create`` / ``worker`` /
-  ``collect`` trio) — the durable :mod:`repro.engine.queue` path with
-  lease/heartbeat retry isolation;
+* :func:`distributed_campaign` (or :func:`create_campaign_queue`, then
+  the queue's own :func:`~repro.engine.queue_worker` and
+  :func:`~repro.engine.collect_queue`) — the durable
+  :mod:`repro.engine.queue` path with lease/heartbeat retry isolation;
 * :func:`serial_trial_loop` — the naive one-at-a-time baseline the E28
   benchmark measures the other two against.
 
@@ -37,8 +38,6 @@ from .bundle import (
 from .runner import (
     CampaignRun,
     campaign_metrics,
-    campaign_queue_worker,
-    collect_campaign_queue,
     create_campaign_queue,
     distributed_campaign,
     execute_trial,
@@ -62,8 +61,6 @@ __all__ = [
     "STRATEGY_NAMES",
     "TrialPlan",
     "campaign_metrics",
-    "campaign_queue_worker",
-    "collect_campaign_queue",
     "config_from_spec",
     "config_spec",
     "create_campaign_queue",

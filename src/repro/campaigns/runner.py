@@ -23,10 +23,10 @@ Outcomes: ``survived`` (the recorded leader was elected), ``derailed``
 
 from __future__ import annotations
 
-import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adversary import adversary_to_spec
 from ..adversary.strategies import (
@@ -46,15 +46,13 @@ from ..engine.pipeline import plan_shards
 from ..engine.queue import (
     DEFAULT_LEASE_TTL,
     DEFAULT_MAX_ATTEMPTS,
-    QueueError,
+    JobKind,
     WorkQueue,
-    default_owner,
+    collect_queue,
     drain_with_local_workers,
-    heartbeat_guard,
-    settled,
+    queue_worker,
 )
 from ..obs.runtime import STATE as _OBS
-from ..obs.runtime import flush as _obs_flush
 from ..obs.runtime import registry as _registry
 from ..obs.runtime import span as _obs_span
 from ..radio.backends import SimulationTimeout
@@ -70,8 +68,6 @@ from .spec import CampaignSpec, TrialPlan, derive_trial
 __all__ = [
     "CampaignRun",
     "campaign_metrics",
-    "campaign_queue_worker",
-    "collect_campaign_queue",
     "create_campaign_queue",
     "distributed_campaign",
     "execute_trial",
@@ -494,92 +490,46 @@ def create_campaign_queue(
     )
 
 
-def campaign_queue_worker(
-    queue_path: str,
-    *,
-    owner: Optional[str] = None,
-    max_shards: Optional[int] = None,
-    wait: bool = True,
-    poll: float = 0.5,
-    lease_ttl: Optional[float] = None,
-) -> int:
-    """Drain campaign shards from a queue until it is finished.
+@contextmanager
+def _open_campaign(meta: Dict):
+    """Set up one campaign worker from its queue's meta; yield its runner.
 
-    The worker half of a distributed campaign: rebuilds the
-    :class:`CampaignSpec` from queue metadata and loops lease → run
-    shard → commit under :func:`~repro.engine.queue.heartbeat_guard`.
-    Individual trial failures are *recorded results*, not worker
-    errors — only a whole-shard crash (or worker death, via lease
-    expiry) sends a shard back for retry. Returns the number of trials
-    this worker committed, after writing its pending trace events
-    (a forked worker exits without closing the tracer).
+    The runner runs one shard of trials (:func:`_run_shard`) and returns
+    their records with ``{"trials": count}``. Individual trial failures
+    are *recorded results*, not worker errors — only a whole-shard
+    crash (or worker death, via lease expiry) sends a shard back for
+    retry.
     """
-    queue = WorkQueue(queue_path, lease_ttl=lease_ttl)
-    trials = 0
-    try:
-        meta = queue.meta()
-        if meta.get("queue") != "campaign":
-            raise QueueError(
-                f"queue {queue_path!r} is not a campaign queue "
-                f"(queue={meta.get('queue')!r})"
-            )
-        spec = CampaignSpec.from_dict(meta["campaign"])
-        owner = owner or default_owner()
-        done = 0
-        while True:
-            lease = queue.lease(owner)
-            if lease is None:
-                if not wait or queue.finished():
-                    break
-                time.sleep(poll)
-                continue
-            try:
-                with heartbeat_guard(queue, lease), _obs_span(
-                    "campaign.shard", shard=lease.index, size=lease.size
-                ):
-                    records = _run_shard(spec, lease.start, lease.stop)
-            except Exception as exc:
-                queue.fail(lease, f"{type(exc).__name__}: {exc}")
-                continue
-            queue.commit(lease, records, {"trials": len(records)})
-            trials += len(records)
-            done += 1
-            if max_shards is not None and done >= max_shards:
-                break
-    finally:
-        queue.close()
-        _obs_flush()
-    return trials
+    spec = CampaignSpec.from_dict(meta["campaign"])
+
+    def run(start: int, stop: int) -> Tuple[List[Dict], Dict[str, int]]:
+        records = _run_shard(spec, start, stop)
+        return records, {"trials": len(records)}
+
+    yield run
 
 
-def collect_campaign_queue(
-    queue_or_path,
-    *,
-    wait: bool = True,
-    poll: float = 0.5,
-    timeout: Optional[float] = None,
-    strict: bool = True,
-) -> CampaignRun:
-    """Merge a campaign queue's committed shards into a :class:`CampaignRun`.
+def _merge_campaign(queue: WorkQueue) -> CampaignRun:
+    """Merge a campaign queue's done shards into a :class:`CampaignRun`.
 
-    Semantics mirror :func:`repro.engine.collect_census_queue`: with
-    ``wait=True`` polls until every shard is done or failed (or
-    ``timeout`` expires); ``strict=True`` raises on permanently failed
-    shards, ``strict=False`` returns the trials that did complete.
     Records are ordered by trial index, so the merged result is
     identical regardless of which worker ran which shard.
     """
-    with settled(
-        queue_or_path, wait=wait, poll=poll, timeout=timeout, strict=strict
-    ) as queue:
-        spec = CampaignSpec.from_dict(queue.meta()["campaign"])
-        results: List[Dict] = []
-        for _idx, rows, _stats in queue.results():
-            results.extend(rows)
-        results.sort(key=lambda r: r["index"])
-        return CampaignRun(
-            spec=spec, results=results, metrics=campaign_metrics(results)
-        )
+    spec = CampaignSpec.from_dict(queue.meta()["campaign"])
+    results: List[Dict] = []
+    for _idx, rows, _stats in queue.results():
+        results.extend(rows)
+    results.sort(key=lambda r: r["index"])
+    return CampaignRun(
+        spec=spec, results=results, metrics=campaign_metrics(results)
+    )
+
+
+#: The campaign job kind of the work queue
+#: (:data:`repro.engine.queue.JOB_KINDS`).
+CAMPAIGN_JOB = JobKind(
+    queue="campaign", open=_open_campaign, merge=_merge_campaign
+)
 
 
 def distributed_campaign(
@@ -614,6 +564,6 @@ def distributed_campaign(
     # close before forking: SQLite connections must not cross a fork
     queue.close()
     drain_with_local_workers(
-        queue_path, campaign_queue_worker, num_workers=num_workers, poll=poll
+        queue_path, queue_worker, num_workers=num_workers, poll=poll
     )
-    return collect_campaign_queue(queue_path, wait=False)
+    return collect_queue(queue_path, wait=False)

@@ -198,21 +198,26 @@ def cmd_elect(args: argparse.Namespace) -> int:
 def _census_queue_mode(args: argparse.Namespace) -> int:
     """The distributed roles of ``census`` (see docs/distributed.md).
 
-    ``--role worker`` attaches to an existing queue and drains it (the
-    census options come from the queue metadata, not the command line);
-    ``--role coordinator`` enumerates the census into the queue, waits
-    for external workers, and merges; ``--role auto`` does everything:
-    coordinator plus ``--workers`` local worker processes.
+    ``--role worker`` attaches to an existing queue and drains it with
+    ``--workers`` forked worker processes, then polls until the queue is
+    finished (the job comes from the queue metadata, not the command
+    line, so it drains a campaign queue too); ``--role coordinator``
+    enumerates the census into the queue, waits for external workers,
+    and merges; ``--role auto`` does everything: coordinator plus
+    ``--workers`` local worker processes.
     """
+    import functools
+
     from .analysis.census import group_by_n, random_census_workload
     from .engine import (
         DEFAULT_LEASE_TTL,
         WorkQueue,
-        census_queue_worker,
-        collect_census_queue,
+        collect_queue,
         create_census_queue,
         distributed_census,
+        queue_worker,
     )
+    from .engine.queue import drain_with_local_workers
 
     lease_ttl = (
         args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
@@ -235,30 +240,12 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
                     f"{args.queue_timeout}s"
                 )
             _time.sleep(0.2)
-        if args.workers > 1:
-            import multiprocessing
-
-            procs = [
-                multiprocessing.Process(
-                    target=census_queue_worker,
-                    args=(args.queue,),
-                    kwargs={"lease_ttl": args.lease_ttl},
-                )
-                for _ in range(args.workers)
-            ]
-            for proc in procs:
-                proc.start()
-            for proc in procs:
-                proc.join()
-            bad = sum(1 for proc in procs if proc.exitcode != 0)
-            if bad:
-                raise SystemExit(
-                    f"census: {bad} worker process(es) exited abnormally"
-                )
-        else:
-            stats = census_queue_worker(args.queue, lease_ttl=args.lease_ttl)
-            if not args.stats_json:
-                print(f"  worker: {stats.as_dict()}")
+        drain_with_local_workers(
+            args.queue,
+            functools.partial(queue_worker, lease_ttl=args.lease_ttl),
+            num_workers=args.workers,
+            poll=0.5,
+        )
         with WorkQueue(args.queue) as queue:
             counts = queue.counts()
         if args.stats_json:
@@ -292,9 +279,7 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
         if not args.stats_json:
             print(f"  {queue.describe()} — waiting for workers")
         queue.close()
-        run = collect_census_queue(
-            args.queue, wait=True, timeout=args.queue_timeout
-        )
+        run = collect_queue(args.queue, wait=True, timeout=args.queue_timeout)
     else:  # auto: coordinator + local workers in one call
         run = distributed_census(
             workload,
@@ -721,15 +706,15 @@ def cmd_queue_status(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    rows = [(k, counts[k]) for k in
-            ("total", "pending", "leased", "done", "failed", "retried",
-             "reclaimed")]
+    rows = [("job", meta.get("queue", "?"))]
+    rows += [(k, counts[k]) for k in
+             ("total", "pending", "leased", "done", "failed", "retried",
+              "reclaimed")]
     workload = meta.get("workload")
-    rows.append(
-        ("workload", workload.get("kind", "?"))
-        if isinstance(workload, dict)
-        else ("workload", workload)
-    )
+    if isinstance(workload, dict):
+        rows.append(("workload", workload.get("kind", "?")))
+    elif workload is not None:
+        rows.append(("workload", workload))
     rows.append(("items", meta.get("total", "?")))
     print(kv_block(f"Queue {args.path}", rows))
     if args.shards:
@@ -830,36 +815,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         print(_json.dumps(run.metrics, indent=2, sort_keys=True))
         return 0
     print(run.describe())
-    return 0
-
-
-def cmd_campaign_status(args: argparse.Namespace) -> int:
-    """Show a campaign work queue's progress (``campaign status PATH``)."""
-    from .engine import QueueError, WorkQueue
-
-    try:
-        with WorkQueue(args.path) as queue:
-            counts = queue.counts()
-            meta = queue.meta()
-    except QueueError as exc:
-        raise SystemExit(f"campaign: {exc}")
-    if meta.get("queue") != "campaign":
-        raise SystemExit(
-            f"campaign: {args.path!r} is not a campaign queue "
-            f"(meta kind {meta.get('queue')!r})"
-        )
-    campaign = meta.get("campaign") or {}
-    rows = [
-        ("campaign", campaign.get("name", "?")),
-        ("trials", meta.get("total", "?")),
-        ("shards", meta.get("num_shards", "?")),
-    ]
-    rows.extend(
-        (k, counts[k])
-        for k in ("total", "pending", "leased", "done", "failed", "retried",
-                  "reclaimed")
-    )
-    print(kv_block(f"Campaign queue {args.path}", rows))
     return 0
 
 
@@ -981,8 +936,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "distributed role: 'coordinator' enumerates the census into "
             "--queue and waits for external workers, 'worker' attaches "
-            "to an existing queue and drains it, 'auto' (default) runs "
-            "coordinator plus --workers local worker processes"
+            "to an existing queue of any job kind and drains it with "
+            "--workers processes, 'auto' (default) runs coordinator plus "
+            "--workers local worker processes"
         ),
     )
     p.add_argument(
@@ -1097,13 +1053,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "queue",
-        help="inspect/repair a distributed census work queue (census --queue)",
+        help=(
+            "inspect/repair a work queue (census --queue, "
+            "campaign run --queue)"
+        ),
     )
     qsub = p.add_subparsers(dest="queue_command", required=True)
     qs = qsub.add_parser(
         "status", help="shard-state counts and metadata of a work queue"
     )
-    qs.add_argument("path", help="SQLite work queue file (census --queue PATH)")
+    qs.add_argument("path", help="SQLite work queue file (--queue PATH)")
     qs.add_argument(
         "--shards", action="store_true", help="also list per-shard rows"
     )
@@ -1174,11 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_arg(cr)
     _add_obs_args(cr)
     cr.set_defaults(func=cmd_campaign_run)
-    cs = csub.add_parser(
-        "status", help="progress of a distributed campaign work queue"
-    )
-    cs.add_argument("path", help="SQLite work queue file (campaign run --queue)")
-    cs.set_defaults(func=cmd_campaign_status)
     cp = csub.add_parser(
         "replay",
         help=(

@@ -134,3 +134,28 @@ class ClassifierTrace:
                 f"  leader: node {self.leader} (class {self.leader_class})"
             )
         return "\n".join(lines)
+
+
+def traces_equal(a: ClassifierTrace, b: ClassifierTrace) -> bool:
+    """Field-by-field equality of two traces (ignoring op metering)."""
+    if (
+        a.decision != b.decision
+        or a.decided_at != b.decided_at
+        or a.leader != b.leader
+        or a.leader_class != b.leader_class
+        or a.sigma != b.sigma
+        or a.initial_classes != b.initial_classes
+        or a.initial_reps != b.initial_reps
+        or len(a.iterations) != len(b.iterations)
+    ):
+        return False
+    for ra, rb in zip(a.iterations, b.iterations):
+        if (
+            ra.index != rb.index
+            or ra.labels != rb.labels
+            or ra.classes_after != rb.classes_after
+            or ra.reps_after != rb.reps_after
+            or ra.num_classes_after != rb.num_classes_after
+        ):
+            return False
+    return True

@@ -21,7 +21,9 @@ from throwaway sweeps into accumulating, resumable artifacts:
   distributed path and the only resumable one: a durable SQLite work
   queue that N independent worker processes drain under
   lease/heartbeat semantics, with pending shards ranked by expected
-  classification yield (see ``docs/distributed.md``).
+  classification yield (see ``docs/distributed.md``). One worker
+  (:func:`queue_worker`) and one collect step (:func:`collect_queue`)
+  serve both job kinds, censuses and robustness campaigns.
 
 Quickstart::
 
@@ -56,8 +58,6 @@ from .pipeline import (
     batch_records,
     cached_evaluate,
     census_record,
-    census_queue_worker,
-    collect_census_queue,
     create_census_queue,
     distributed_census,
     group_by_n_span,
@@ -72,8 +72,10 @@ from .queue import (
     Lease,
     QueueError,
     WorkQueue,
+    collect_queue,
     default_owner,
     heartbeat_guard,
+    queue_worker,
 )
 from .scheduler import (
     ShardCandidate,
@@ -117,10 +119,9 @@ __all__ = [
     "batch_records",
     "cached_evaluate",
     "canonical_key",
-    "census_queue_worker",
     "census_record",
     "certificate_key",
-    "collect_census_queue",
+    "collect_queue",
     "create_census_queue",
     "default_keyer",
     "default_owner",
@@ -133,6 +134,7 @@ __all__ = [
     "make_random_config",
     "observed_miss_rate",
     "plan_shards",
+    "queue_worker",
     "random_config_batch",
     "rank",
     "record_sufficient",

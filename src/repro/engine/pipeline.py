@@ -28,7 +28,7 @@ processes.
 
 from __future__ import annotations
 
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +38,6 @@ from ..core.configuration import Configuration
 from ..core.election import elect_leader
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import event as _obs_event
-from ..obs.runtime import flush as _obs_flush
 from ..obs.runtime import registry as _registry
 from ..obs.runtime import span as _obs_span
 from .cache import ResultCache
@@ -46,12 +45,12 @@ from .keys import Keyer, default_keyer
 from .queue import (
     DEFAULT_LEASE_TTL,
     DEFAULT_MAX_ATTEMPTS,
+    JobKind,
     QueueError,
     WorkQueue,
-    default_owner,
+    collect_queue,
     drain_with_local_workers,
-    heartbeat_guard,
-    settled,
+    queue_worker,
 )
 from .workloads import Workload, as_workload, workload_from_spec
 
@@ -493,8 +492,9 @@ class BatchLookup:
 
 
 def _classify_shard(
-    shard: ShardSpec,
     workload: Workload,
+    start: int,
+    stop: int,
     cache: Optional[ResultCache],
     group_by: GroupBy,
     measure_rounds: bool,
@@ -502,7 +502,7 @@ def _classify_shard(
     stats: EngineStats,
     algorithm: str,
 ) -> Dict[object, CensusRow]:
-    """Classify one shard; return its aggregated rows.
+    """Classify items ``[start, stop)``; return their aggregated rows.
 
     A rounds census goes through ``cache`` (:func:`batch_records`), which
     consumes the stream one configuration at a time, so per-shard memory
@@ -513,7 +513,7 @@ def _classify_shard(
     groups: List[object] = []
 
     def shard_stream():
-        for cfg in workload.generate(shard.start, shard.stop):
+        for cfg in workload.generate(start, stop):
             normalized = cfg.normalize()
             groups.append(group_by(normalized))
             yield normalized
@@ -618,8 +618,9 @@ def sharded_census(
                 "census.shard", shard=shard.index, size=shard.size
             ) as sp:
                 shard_rows = _classify_shard(
-                    shard,
                     workload,
+                    shard.start,
+                    shard.stop,
                     cache,
                     group_by,
                     measure_rounds,
@@ -706,157 +707,85 @@ def create_census_queue(
     )
 
 
-def census_queue_worker(
-    queue_path: str,
-    *,
-    owner: Optional[str] = None,
-    max_shards: Optional[int] = None,
-    wait: bool = True,
-    poll: float = 0.5,
-    lease_ttl: Optional[float] = None,
-) -> EngineStats:
-    """Drain census shards from a queue until it is finished.
+@contextmanager
+def _open_census(meta: Dict):
+    """Set up one census worker from its queue's meta; yield its runner.
 
-    The worker half of a distributed census: opens the queue at
-    ``queue_path``, rebuilds the workload and census options from the
-    queue metadata, and loops lease → classify → commit. A
-    ``measure_rounds`` queue's worker classifies through the queue's
-    cache; a classify-only one opens no cache and computes no key (see
-    :func:`sharded_census`). A background
-    thread heartbeats the active lease, so a slow shard is never
-    reclaimed from a live worker; a classification error fails the
-    shard back to the queue (retried elsewhere up to the attempt cap)
-    and the worker moves on.
-
-    With ``wait=True`` (the default) the worker polls while peers hold
-    live leases — if a peer dies, its shard expires and this worker
-    picks it up — and returns once every shard is ``done`` or
-    ``failed``. ``wait=False`` returns as soon as nothing is leasable.
-    ``max_shards`` bounds how many shards this call will process.
-
-    Returns this worker's :class:`EngineStats` (its own shards only).
-    Safe to run many of these concurrently — in processes, threads, or
-    across machines sharing the queue file's filesystem. Before
-    returning, the worker writes its pending trace events
-    (:func:`repro.obs.flush`): a forked worker exits without closing
-    the tracer.
+    The runner classifies one shard (:func:`_classify_shard`) and
+    returns its rows and ``{"classified", "cache_hits", "deduped"}``
+    stats, which the scheduler ranks pending shards on. A
+    ``measure_rounds`` queue's worker opens the queue's cache once and
+    classifies through it; a classify-only one opens no cache and
+    computes no key (see :func:`sharded_census`).
     """
-    queue = WorkQueue(queue_path, lease_ttl=lease_ttl)
-    cache: Optional[ResultCache] = None
-    stats = EngineStats()
+    workload = workload_from_spec(meta["workload"])
+    grouping = meta.get("group_by", "n_span")
     try:
-        meta = queue.meta()
-        if meta.get("queue") != "census":
-            raise QueueError(
-                f"queue {queue_path!r} is not a census queue "
-                f"(queue={meta.get('queue')!r})"
-            )
-        workload = workload_from_spec(meta["workload"])
-        grouping = meta.get("group_by", "n_span")
-        try:
-            group_by = GROUPINGS[grouping]
-        except KeyError:
-            raise QueueError(
-                f"queue {queue_path!r} uses grouping {grouping!r}, which "
-                f"this process has not registered (register_grouping)"
-            ) from None
-        measure_rounds = bool(meta.get("measure_rounds", False))
-        algorithm = str(meta.get("algorithm", "auto"))
-        if measure_rounds:
-            cache_path = meta.get("cache")
-            cache = ResultCache(cache_path) if cache_path else ResultCache()
-        owner = owner or default_owner()
-        done = 0
-        while True:
-            lease = queue.lease(owner)
-            if lease is None:
-                if not wait or queue.finished():
-                    break
-                time.sleep(poll)
-                continue
-            shard = ShardSpec(
-                index=lease.index, start=lease.start, stop=lease.stop
-            )
-            c0, h0, d0 = stats.classified, stats.cache_hits, stats.deduped
-            try:
-                with heartbeat_guard(queue, lease), _obs_span(
-                    "census.shard", shard=shard.index, size=shard.size
-                ):
-                    shard_rows = _classify_shard(
-                        shard,
-                        workload,
-                        cache,
-                        group_by,
-                        measure_rounds,
-                        default_keyer,
-                        stats,
-                        algorithm,
-                    )
-            except Exception as exc:
-                queue.fail(lease, f"{type(exc).__name__}: {exc}")
-                continue
-            queue.commit(
-                lease,
-                _shard_rows(shard_rows),
-                {
-                    "classified": stats.classified - c0,
-                    "cache_hits": stats.cache_hits - h0,
-                    "deduped": stats.deduped - d0,
-                },
-            )
-            stats.total_configs += shard.size
-            stats.shards_total += 1
-            done += 1
-            if max_shards is not None and done >= max_shards:
-                break
+        group_by = GROUPINGS[grouping]
+    except KeyError:
+        raise QueueError(
+            f"census queue uses grouping {grouping!r}, which this "
+            f"process has not registered (register_grouping)"
+        ) from None
+    measure_rounds = bool(meta.get("measure_rounds", False))
+    algorithm = str(meta.get("algorithm", "auto"))
+    cache: Optional[ResultCache] = None
+    if measure_rounds:
+        cache_path = meta.get("cache")
+        cache = ResultCache(cache_path) if cache_path else ResultCache()
+
+    def run(start: int, stop: int) -> Tuple[List[Dict], Dict[str, int]]:
+        stats = EngineStats()
+        rows = _classify_shard(
+            workload,
+            start,
+            stop,
+            cache,
+            group_by,
+            measure_rounds,
+            default_keyer,
+            stats,
+            algorithm,
+        )
+        return _shard_rows(rows), {
+            "classified": stats.classified,
+            "cache_hits": stats.cache_hits,
+            "deduped": stats.deduped,
+        }
+
+    try:
+        yield run
     finally:
         if cache is not None:
             cache.close()
-        queue.close()
-        _obs_flush()
-    return stats
 
 
-def collect_census_queue(
-    queue_or_path,
-    *,
-    wait: bool = True,
-    poll: float = 0.5,
-    timeout: Optional[float] = None,
-    strict: bool = True,
-) -> CensusRun:
-    """Merge a census queue's committed shards into a :class:`CensusRun`.
+def _merge_census(queue: WorkQueue) -> CensusRun:
+    """Merge a census queue's done shards into a :class:`CensusRun`.
 
-    With ``wait=True`` (the default), polls until the queue is finished
-    (every shard ``done`` or ``failed``) or ``timeout`` seconds elapse
-    (:class:`~repro.engine.queue.QueueError` on expiry). ``strict=True``
-    raises if any shard failed permanently; ``strict=False`` merges the
-    done shards and leaves the failures to the caller (inspect
-    :meth:`~repro.engine.queue.WorkQueue.failures`).
-
-    The merge reads each done shard exactly once and row addition is
-    commutative integer sums, so the merged result is bit-for-bit equal
-    to the serial census regardless of which worker computed which
-    shard in which order.
+    Row addition is commutative integer sums, so the merged result is
+    bit-for-bit equal to the serial census regardless of which worker
+    computed which shard in which order.
     """
-    with settled(
-        queue_or_path, wait=wait, poll=poll, timeout=timeout, strict=strict
-    ) as queue:
-        result = CensusResult()
-        stats = EngineStats()
-        merged = 0
-        for idx, rows, shard_stats in queue.results():
-            _merge_rows(result, rows)
-            stats.total_configs += sum(r["total"] for r in rows)
-            stats.classified += int(shard_stats.get("classified", 0))
-            stats.cache_hits += int(shard_stats.get("cache_hits", 0))
-            stats.deduped += int(shard_stats.get("deduped", 0))
-            merged += 1
-            if _OBS.enabled:
-                _obs_event("shard.merged", shard=idx, rows=len(rows))
-        stats.shards_total = queue.counts()["total"]
-        _registry.inc("queue.merged", merged)
-        return CensusRun(result=result, stats=stats, cache=None)
+    result = CensusResult()
+    stats = EngineStats()
+    merged = 0
+    for idx, rows, shard_stats in queue.results():
+        _merge_rows(result, rows)
+        stats.total_configs += sum(r["total"] for r in rows)
+        stats.classified += int(shard_stats.get("classified", 0))
+        stats.cache_hits += int(shard_stats.get("cache_hits", 0))
+        stats.deduped += int(shard_stats.get("deduped", 0))
+        merged += 1
+        if _OBS.enabled:
+            _obs_event("shard.merged", shard=idx, rows=len(rows))
+    stats.shards_total = queue.counts()["total"]
+    _registry.inc("queue.merged", merged)
+    return CensusRun(result=result, stats=stats, cache=None)
+
+
+#: The census job kind of the work queue (:data:`repro.engine.queue.JOB_KINDS`).
+CENSUS_JOB = JobKind(queue="census", open=_open_census, merge=_merge_census)
 
 
 def distributed_census(
@@ -907,6 +836,6 @@ def distributed_census(
     # close before forking: SQLite connections must not cross a fork
     queue.close()
     drain_with_local_workers(
-        queue_path, census_queue_worker, num_workers=num_workers, poll=poll
+        queue_path, queue_worker, num_workers=num_workers, poll=poll
     )
-    return collect_census_queue(queue_path, wait=False)
+    return collect_queue(queue_path, wait=False)

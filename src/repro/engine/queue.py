@@ -1,8 +1,8 @@
-"""Durable SQLite-backed work queue for distributed censuses.
+"""Durable SQLite-backed work queue for distributed censuses and campaigns.
 
-One coordinator enumerates a census into shard tasks; N independent
+One coordinator enumerates a job into shard tasks; N independent
 worker *processes* — or machines sharing a filesystem — lease shards,
-classify them, and commit results. The queue is a single SQLite file in
+run them, and commit results. The queue is a single SQLite file in
 WAL mode, so it needs no server, survives any worker dying, and gives
 the one primitive the whole design rests on: an atomic
 read-modify-write transaction (``BEGIN IMMEDIATE``) for leasing.
@@ -30,8 +30,8 @@ Lifecycle of a shard row::
 * **Commit** — results are stored in the row itself, guarded by the
   owner id: a stale worker whose lease was reclaimed cannot overwrite
   the retry's result, and committing an already-``done`` shard is a
-  no-op. Merging (:func:`repro.engine.pipeline.collect_census_queue`)
-  reads each ``done`` row exactly once, so the merge is idempotent.
+  no-op. Merging (:func:`collect_queue`) reads each ``done`` row
+  exactly once, so the merge is idempotent.
 
 Queue state is mirrored into the process observability registry
 (``queue.pending`` / ``queue.leased`` / ``queue.done`` /
@@ -41,12 +41,16 @@ Queue state is mirrored into the process observability registry
 
 The queue is record-agnostic about *what* a shard computes: it stores
 opaque JSON payloads plus a metadata dict written at creation time.
-Job kinds (census, campaign) bring their own workers and merges, and
-share :func:`drain_with_local_workers` and :func:`settled` from here.
+What a job does is named by ``meta["queue"]`` and looked up in the
+closed :data:`JOB_KINDS` table (census, campaign), so one worker loop
+(:func:`queue_worker`), one collect step (:func:`collect_queue`) and
+one process fan-out (:func:`drain_with_local_workers`) serve every
+kind.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import socket
@@ -55,11 +59,13 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import event as _obs_event
+from ..obs.runtime import flush as _obs_flush
 from ..obs.runtime import registry as _registry
+from ..obs.runtime import span as _obs_span
 from .scheduler import ShardCandidate, observed_miss_rate, rank
 
 #: Version stamped into the queue's meta table; opening a queue written
@@ -114,9 +120,8 @@ def heartbeat_guard(queue: "WorkQueue", lease: Lease):
     A daemon thread extends the lease every ``lease_ttl / 4`` seconds
     (stopping early if the lease was reclaimed — the commit will be
     rejected anyway) and is joined on exit, however the block ends. This
-    is the worker-side idiom shared by every queue consumer (census
-    shards, campaign shards): long work under an active lease is never
-    reclaimed from a live worker.
+    is the worker-side idiom of :func:`queue_worker`: long work under an
+    active lease is never reclaimed from a live worker.
     """
     stop = threading.Event()
 
@@ -633,17 +638,149 @@ class WorkQueue:
         )
 
 
-@contextmanager
-def settled(queue_or_path, *, wait: bool, poll: float, timeout, strict: bool):
-    """Yield a queue ready to merge: the collect step of every job kind.
+# ----------------------------------------------------------------------
+# job kinds: the one worker loop, collect step and fan-out
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class JobKind:
+    """What the queue needs to know about one kind of job.
 
-    Opens a path (or borrows an open :class:`WorkQueue`); with ``wait``,
-    polls until it is finished (:class:`QueueError` after ``timeout``
-    seconds); with ``strict``, raises on permanently failed shards.
+    ``queue`` is the name stored in the queue's meta. ``open(meta)`` is
+    a context manager that sets one worker up from the meta (and tears
+    it down) and yields ``run(start, stop) -> (rows, stats)`` for its
+    shards; :meth:`WorkQueue.commit` stores what ``run`` returns.
+    ``merge(queue)`` turns a settled queue into the job's result.
+    """
+
+    queue: str
+    open: Callable[[Dict], ContextManager]
+    merge: Callable[["WorkQueue"], object]
+
+
+#: The closed table of job kinds: ``meta["queue"]`` -> ``module:name``
+#: of its :class:`JobKind`, imported on first use. :mod:`repro.engine`
+#: loads no campaign code, yet a process that imports only it can drain
+#: any kind.
+JOB_KINDS = {
+    "census": "repro.engine.pipeline:CENSUS_JOB",
+    "campaign": "repro.campaigns.runner:CAMPAIGN_JOB",
+}
+
+
+def job_kind(meta: Dict[str, object]) -> JobKind:
+    """The :class:`JobKind` a queue's meta names.
+
+    Raises :class:`QueueError` for a queue of any other kind, before a
+    worker leases anything from it.
+    """
+    name = meta.get("queue")
+    try:
+        target = JOB_KINDS[name]
+    except (KeyError, TypeError):
+        raise QueueError(
+            f"queue holds an unknown job kind {name!r} "
+            f"(known: {', '.join(sorted(JOB_KINDS))})"
+        ) from None
+    module, _, attr = target.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+def queue_worker(
+    queue_path: str,
+    *,
+    owner: Optional[str] = None,
+    max_shards: Optional[int] = None,
+    wait: bool = True,
+    poll: float = 0.5,
+    lease_ttl: Optional[float] = None,
+) -> Dict[str, int]:
+    """Drain shards from a queue of any job kind until it is finished.
+
+    Opens the queue at ``queue_path``, sets up the job kind its meta
+    names (:func:`job_kind`), and loops lease → run → commit. Each shard
+    runs under :func:`heartbeat_guard`, so a slow shard is never
+    reclaimed from a live worker, and inside a ``<kind>.shard`` span. An
+    exception fails the shard back to the queue (retried elsewhere up to
+    the attempt cap) and the worker moves on.
+
+    With ``wait=True`` (the default) the worker polls every ``poll``
+    seconds while peers hold live leases — if a peer dies, its shard
+    expires and this worker picks it up — and returns once every shard
+    is ``done`` or ``failed``. ``wait=False`` returns as soon as nothing
+    is leasable. ``max_shards`` bounds how many shards this call
+    commits; ``lease_ttl`` overrides the queue's stored one.
+
+    Returns this worker's own accounting: ``shards`` and ``items``
+    committed, plus the sum of those shards' stats. Safe to run many
+    of these concurrently — in processes, threads, or across machines
+    sharing the queue file's filesystem. Before returning, the worker
+    writes its pending trace events (:func:`repro.obs.flush`): a forked
+    worker exits without closing the tracer.
+    """
+    queue = WorkQueue(queue_path, lease_ttl=lease_ttl)
+    totals = {"shards": 0, "items": 0}
+    try:
+        meta = queue.meta()
+        kind = job_kind(meta)
+        owner = owner or default_owner()
+        with kind.open(meta) as run:
+            while True:
+                lease = queue.lease(owner)
+                if lease is None:
+                    if not wait or queue.finished():
+                        break
+                    time.sleep(poll)
+                    continue
+                try:
+                    with heartbeat_guard(queue, lease), _obs_span(
+                        f"{kind.queue}.shard", shard=lease.index, size=lease.size
+                    ):
+                        rows, stats = run(lease.start, lease.stop)
+                except Exception as exc:
+                    queue.fail(lease, f"{type(exc).__name__}: {exc}")
+                    continue
+                queue.commit(lease, rows, stats)
+                totals["shards"] += 1
+                totals["items"] += lease.size
+                for key, value in stats.items():
+                    totals[key] = totals.get(key, 0) + value
+                if max_shards is not None and totals["shards"] >= max_shards:
+                    break
+    finally:
+        queue.close()
+        _obs_flush()
+    return totals
+
+
+def collect_queue(
+    queue_or_path,
+    *,
+    wait: bool = True,
+    poll: float = 0.5,
+    timeout: Optional[float] = None,
+    strict: bool = True,
+):
+    """Merge a queue's committed shards into its job's result.
+
+    Opens a path (or borrows an open :class:`WorkQueue`) and returns
+    what its job kind's merge makes of it: a
+    :class:`~repro.engine.pipeline.CensusRun` or a
+    :class:`~repro.campaigns.runner.CampaignRun`. With ``wait=True``
+    (the default), polls every ``poll`` seconds until the queue is
+    finished (every shard ``done`` or ``failed``), raising
+    :class:`QueueError` after ``timeout`` seconds. ``strict=True``
+    raises if any shard failed permanently; ``strict=False`` merges the
+    done shards and leaves the failures to the caller (inspect
+    :meth:`WorkQueue.failures`).
+
+    Each done shard is read exactly once and every merge is independent
+    of shard order, so the result equals the in-process run regardless
+    of which worker computed which shard.
     """
     own = isinstance(queue_or_path, str)
     queue = WorkQueue(queue_or_path) if own else queue_or_path
     try:
+        kind = job_kind(queue.meta())
         deadline = time.monotonic() + timeout if timeout is not None else None
         while wait and not queue.finished():
             if deadline is not None and time.monotonic() > deadline:
@@ -660,7 +797,7 @@ def settled(queue_or_path, *, wait: bool, poll: float, timeout, strict: bool):
             raise QueueError(
                 f"{len(failures)} shard(s) failed permanently ({detail})"
             )
-        yield queue
+        return kind.merge(queue)
     finally:
         if own:
             queue.close()

@@ -53,11 +53,12 @@ import asyncio
 import contextvars
 import hashlib
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.classifier import resolve_algorithm
 from ..core.configuration import Configuration
@@ -260,6 +261,9 @@ class _AsyncBatchCore:
         # enqueue_many (each re-await joins the waiter FIFO behind it),
         # so "saw the sentinel" alone must never terminate the loop.
         self._inflight = 0
+        #: ``(monotonic start, count)`` of the misses on the worker thread
+        #: (set on the loop thread; read by timeout diagnoses)
+        self.classifying: Optional[Tuple[float, int]] = None
         self._worker = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-classify"
         )
@@ -455,15 +459,20 @@ class _AsyncBatchCore:
                     classified: List[Dict] = []
                     if lookup.misses:
                         sp.add("classified", len(lookup.misses))
-                        # in a copy of this task's context, as
-                        # asyncio.to_thread does: the worker's spans
-                        # (batch.kernel) nest under service.batch
-                        classified = await loop.run_in_executor(
-                            self._worker,
-                            contextvars.copy_context().run,
-                            lookup.classify,
-                            self.algorithm,
-                        )
+                        started = time.monotonic()
+                        self.classifying = (started, len(lookup.misses))
+                        try:
+                            # in a copy of this task's context, as
+                            # asyncio.to_thread does: the worker's spans
+                            # (batch.kernel) nest under service.batch
+                            classified = await loop.run_in_executor(
+                                self._worker,
+                                contextvars.copy_context().run,
+                                lookup.classify,
+                                self.algorithm,
+                            )
+                        finally:
+                            self.classifying = None
                     records = lookup.complete(classified)
                 except Exception as exc:  # classification bug: fail the group
                     sp.add("failed", len(group))
@@ -651,19 +660,28 @@ class BatchClassifier:
     def _diagnosis(self) -> str:
         """One-line dispatcher state for timeout errors.
 
-        Includes the age of the dispatcher loop's last heartbeat, which
-        separates "busy draining a long batch" (age keeps resetting)
-        from "wedged or dead" (age grows without bound).
+        The heartbeat is beaten once per dispatcher wake-up, so while
+        one long batch classifies it ages exactly as on a wedged loop.
+        The batch in flight tells the two apart: "classifying N item(s)
+        for X s" is a busy worker thread; "no batch in flight" with an
+        old heartbeat and pending requests is a wedged loop.
         """
         queue = self._core.queue
         age = _registry.heartbeat_age(DISPATCHER_HEARTBEAT)
         heartbeat = "never" if age is None else f"{age:.3f}s ago"
+        classifying = self._core.classifying
+        batch = (
+            "no batch in flight"
+            if classifying is None
+            else f"classifying {classifying[1]} item(s) for "
+            f"{time.monotonic() - classifying[0]:.3f}s"
+        )
         return (
             f"event loop thread alive={self._thread.is_alive()}, "
             f"closed={self._closed}, "
             f"pending={queue.qsize() if queue is not None else 0}"
             f"/{self._core.max_pending}, "
-            f"last heartbeat {heartbeat}"
+            f"last heartbeat {heartbeat}, {batch}"
         )
 
     def _await_handle(self, handle: "Future", timeout: Optional[float]):

@@ -74,7 +74,7 @@ def assert_trace_equal(actual, expected, *, context: str = "") -> None:
     """Assert bit-for-bit :class:`~repro.core.trace.ClassifierTrace`
     equality, failing with first-divergence diagnostics.
 
-    The comparison follows :func:`repro.core.fast_classifier.traces_equal`
+    The comparison follows :func:`repro.core.trace.traces_equal`
     — every field except op metering (``total_ops``), which backends
     legitimately differ on — but walks iterations in order and mappings
     per node, so the error message names the exact iteration, field and

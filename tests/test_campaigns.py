@@ -10,8 +10,6 @@ import pytest
 from repro.campaigns import (
     BUNDLE_FORMAT,
     CampaignSpec,
-    campaign_queue_worker,
-    collect_campaign_queue,
     config_from_spec,
     config_spec,
     create_campaign_queue,
@@ -25,7 +23,7 @@ from repro.campaigns import (
     serial_trial_loop,
     write_bundle,
 )
-from repro.engine import QueueError, RandomGnpWorkload, create_census_queue
+from repro.engine import collect_queue, queue_worker
 from repro.graphs.families import h_m
 
 MIXED = (
@@ -234,27 +232,16 @@ class TestBundles:
 
 
 class TestQueue:
-    def test_worker_rejects_foreign_queue(self, tmp_path):
-        path = str(tmp_path / "census.sqlite")
-        queue = create_census_queue(
-            path,
-            RandomGnpWorkload([4], span=2, p=0.3, samples=4, seed=1),
-            num_shards=2,
-        )
-        queue.close()
-        with pytest.raises(QueueError):
-            campaign_queue_worker(path, wait=False)
-
     def test_create_is_idempotent_and_resumable(self, tmp_path):
         spec = small_spec()
         path = str(tmp_path / "q.sqlite")
         queue = create_campaign_queue(path, spec, num_shards=4)
         queue.close()
         # worker drains one shard, then a fresh coordinator resumes
-        campaign_queue_worker(path, wait=False, max_shards=1)
+        queue_worker(path, wait=False, max_shards=1)
         queue = create_campaign_queue(path, spec, num_shards=4)
         assert queue.counts()["done"] == 1
         queue.close()
-        campaign_queue_worker(path, wait=False)
-        run = collect_campaign_queue(path, wait=False)
+        queue_worker(path, wait=False)
+        run = collect_queue(path, wait=False)
         assert run.results == run_campaign(spec).results

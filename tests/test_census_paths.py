@@ -22,9 +22,10 @@ from repro.cli import build_parser, main
 from repro.engine import (
     ResultCache,
     WorkQueue,
-    census_queue_worker,
+    collect_queue,
     create_census_queue,
     distributed_census,
+    queue_worker,
     sharded_census,
 )
 from repro.reporting.tables import format_table
@@ -94,7 +95,7 @@ def test_cli_queue_resumes_a_half_finished_census(workload, tmp_path, capsys):
     create_census_queue(
         path, workload, num_shards=4, measure_rounds=True, group_by=group_by_n
     ).close()
-    assert census_queue_worker(path, max_shards=1).shards_total == 1
+    assert queue_worker(path, max_shards=1)["shards"] == 1
     with WorkQueue(path) as queue:
         assert queue.counts()["done"] == 1
 
@@ -103,6 +104,21 @@ def test_cli_queue_resumes_a_half_finished_census(workload, tmp_path, capsys):
     with WorkQueue(path) as queue:
         counts = queue.counts()
     assert counts["done"] == counts["total"] == 4
+
+
+def test_cli_worker_role_drains_a_census_queue(
+    workload, oracle, tmp_path, capsys
+):
+    """``census --role worker --workers 2`` drains a queue whose census
+    comes from its metadata, and the collected rows are the oracle's."""
+    path = str(tmp_path / "census.sqlite")
+    create_census_queue(
+        path, workload, num_shards=4, measure_rounds=True, group_by=group_by_n
+    ).close()
+    assert main(["census", "--queue", path, "--role", "worker", "--workers", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "queue: 0 pending, 0 leased, 4 done, 0 failed" in out
+    assert collect_queue(path, wait=False).result.rows == oracle.rows
 
 
 def test_workers_require_a_queue():

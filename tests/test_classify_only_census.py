@@ -2,7 +2,7 @@
 
 Its records carry no election rounds, and a canonical key costs several
 times the batch classification a cache hit would save, so
-``sharded_census`` and ``census_queue_worker`` classify every
+``sharded_census`` and the queue's census workers classify every
 configuration of a classify-only census directly, whichever classifier
 algorithm runs. A rounds census still keys and caches: its rerun
 classifies nothing.
@@ -14,9 +14,9 @@ import repro.engine.pipeline as pipeline
 from repro.engine import (
     RandomGnpWorkload,
     ResultCache,
-    census_queue_worker,
-    collect_census_queue,
+    collect_queue,
     create_census_queue,
+    queue_worker,
     sharded_census,
 )
 
@@ -69,11 +69,11 @@ def test_queue_worker_never_keys_or_opens_the_cache(
     create_census_queue(
         queue_path, workload, num_shards=3, cache_path=str(cache_path)
     ).close()
-    stats = census_queue_worker(queue_path, wait=False)
-    assert stats.classified == stats.total_configs == len(workload)
-    assert stats.cache_hits == stats.deduped == 0
+    stats = queue_worker(queue_path, wait=False)
+    assert stats["classified"] == stats["items"] == len(workload)
+    assert stats["cache_hits"] == stats["deduped"] == 0
     assert not cache_path.exists()
-    run = collect_census_queue(queue_path, wait=False)
+    run = collect_queue(queue_path, wait=False)
     assert shared_columns(run.result.rows) == shared_columns(rounds_rows)
 
 
@@ -100,6 +100,6 @@ def test_rounds_census_still_keys_and_caches(workload, rounds_rows, tmp_path):
             measure_rounds=True,
             cache_path=cache_path,
         ).close()
-        classified.append(census_queue_worker(queue_path, wait=False).classified)
-        assert collect_census_queue(queue_path).result.rows == rounds_rows
+        classified.append(queue_worker(queue_path, wait=False)["classified"])
+        assert collect_queue(queue_path).result.rows == rounds_rows
     assert classified[0] > 0 and classified[1] == 0

@@ -1,5 +1,6 @@
 """Work-queue and scheduler correctness: lease lifecycle, retry caps,
-yield-priority ranking, and distributed-census equality.
+yield-priority ranking, distributed-census equality, and the failure
+paths of the one worker and collect step, for both job kinds.
 
 The load-bearing properties: (1) a shard can be owned by at most one
 live lease, so no shard is double-classified; (2) a dead worker's lease
@@ -10,12 +11,16 @@ mid-run failures.
 """
 
 import os
+import re
 import threading
 import time
 
 import pytest
 
+import repro.campaigns.runner as runner
+import repro.engine.pipeline as pipeline
 from repro.analysis.census import group_by_n
+from repro.campaigns import CampaignSpec, create_campaign_queue, run_campaign
 from repro.engine import (
     EnumerationWorkload,
     QueueError,
@@ -23,12 +28,12 @@ from repro.engine import (
     SequenceWorkload,
     ShardCandidate,
     WorkQueue,
-    census_queue_worker,
-    collect_census_queue,
+    collect_queue,
     create_census_queue,
     distributed_census,
     expected_yield,
     observed_miss_rate,
+    queue_worker,
     rank,
     sharded_census,
     workload_from_spec,
@@ -43,12 +48,14 @@ SHARDS = [(0, 0, 4, 10.0), (1, 4, 8, 20.0), (2, 8, 10, 5.0)]
 META = {"queue": "test", "fingerprint": "abc"}
 
 
-def make_queue(tmp_path, *, lease_ttl=30.0, max_attempts=3, shards=None):
+def make_queue(
+    tmp_path, *, lease_ttl=30.0, max_attempts=3, shards=None, meta=META
+):
     path = str(tmp_path / "queue.sqlite")
     return WorkQueue.create(
         path,
         shards if shards is not None else SHARDS,
-        dict(META),
+        dict(meta),
         lease_ttl=lease_ttl,
         max_attempts=max_attempts,
         now=1000.0,
@@ -323,9 +330,9 @@ def test_census_queue_worker_matches_serial(tmp_path):
     path = str(tmp_path / "census.sqlite")
     q = create_census_queue(path, wl, num_shards=5, group_by=group_by_n)
     q.close()
-    stats = census_queue_worker(path, wait=False)
-    assert stats.shards_total == 5
-    run = collect_census_queue(path, wait=False)
+    stats = queue_worker(path, wait=False)
+    assert stats["shards"] == 5
+    run = collect_queue(path, wait=False)
     assert run.result.rows == serial.result.rows
     assert run.stats.total_configs == serial.stats.total_configs
     assert run.stats.classified == serial.stats.classified
@@ -376,7 +383,7 @@ def test_drain_guard_passes_the_worker_kwargs(tmp_path):
 
     def worker(queue_path, **kwargs):
         calls.append(kwargs)
-        return census_queue_worker(queue_path, **kwargs)
+        return queue_worker(queue_path, **kwargs)
 
     drain_with_local_workers(path, worker, num_workers=0, poll=0.01)
     assert calls == [{"wait": False}]
@@ -385,23 +392,183 @@ def test_drain_guard_passes_the_worker_kwargs(tmp_path):
 
 
 def test_collect_strict_raises_on_failed_shards(tmp_path):
-    q = make_queue(tmp_path, max_attempts=1)
+    q = make_queue(tmp_path, max_attempts=1, meta={"queue": "census"})
     lease = q.lease("w", now=1000.0)
     q.fail(lease, "poison", now=1001.0)
     while (nxt := q.lease("w", now=1002.0)) is not None:
         q.commit(nxt, [])
     with pytest.raises(QueueError, match="poison"):
-        collect_census_queue(q, wait=False, strict=True)
-    run = collect_census_queue(q, wait=False, strict=False)
+        collect_queue(q, wait=False, strict=True)
+    run = collect_queue(q, wait=False, strict=False)
     assert run.stats.shards_total == 3
     q.close()
 
 
 def test_collect_timeout(tmp_path):
-    q = make_queue(tmp_path)
+    q = make_queue(tmp_path, meta={"queue": "census"})
     with pytest.raises(QueueError, match="not finished"):
-        collect_census_queue(q, wait=True, poll=0.01, timeout=0.05)
+        collect_queue(q, wait=True, poll=0.01, timeout=0.05)
     q.close()
+
+
+# ----------------------------------------------------------------------
+# job kinds: the one worker and collect serve censuses and campaigns
+# ----------------------------------------------------------------------
+class CensusJob:
+    """A 12-item census queue in 4 shards, and its in-process rows."""
+
+    kind = "census"
+    shard_fn = (pipeline, "_classify_shard")
+    stats_keys = ("cache_hits", "classified", "deduped")
+    workload = RandomGnpWorkload([5, 6], span=2, p=0.35, samples=6, seed=7)
+
+    def create(self, path, **kw):
+        create_census_queue(path, self.workload, num_shards=4, **kw).close()
+
+    def expected(self):
+        return sharded_census(self.workload).result.rows
+
+    @staticmethod
+    def answer(run):
+        return run.result.rows
+
+    @staticmethod
+    def items(run):
+        return run.result.total
+
+
+class CampaignJob:
+    """A 12-trial campaign queue in 4 shards, and its in-process records."""
+
+    kind = "campaign"
+    shard_fn = (runner, "_run_shard")
+    stats_keys = ("trials",)
+    spec = CampaignSpec(
+        name="kinds",
+        seed=5,
+        trials=12,
+        n_values=(4, 5),
+        span=2,
+        strategies=(
+            {"strategy": "none", "weight": 1.0},
+            {"strategy": "random_budget", "weight": 1.0, "budget": 2},
+        ),
+    )
+
+    def create(self, path, **kw):
+        create_campaign_queue(path, self.spec, num_shards=4, **kw).close()
+
+    def expected(self):
+        return run_campaign(self.spec).results
+
+    @staticmethod
+    def answer(run):
+        return run.results
+
+    @staticmethod
+    def items(run):
+        return len(run.results)
+
+
+@pytest.fixture(params=[CensusJob, CampaignJob], ids=["census", "campaign"])
+def job(request):
+    return request.param()
+
+
+def test_a_shard_that_always_raises_ends_failed(job, tmp_path, monkeypatch):
+    """Every attempt at items [3, 6) raises: the shard ends ``failed``
+    after the attempt cap, strict collect names it, and a lenient one
+    merges the other three shards."""
+    module, name = job.shard_fn
+    original = getattr(module, name)
+
+    def flaky(*args):
+        if args[1] == 3:  # both shard functions take start second
+            raise RuntimeError("boom")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, flaky)
+    path = str(tmp_path / "q.sqlite")
+    job.create(path)
+    stats = queue_worker(path, wait=False)
+    assert (stats["shards"], stats["items"]) == (3, 9)
+    with WorkQueue(path) as q:
+        assert q.counts()["failed"] == 1
+        assert q.failures() == [(1, "RuntimeError: boom (attempt 3)")]
+    with pytest.raises(QueueError, match="shard 1: RuntimeError: boom"):
+        collect_queue(path, wait=False, strict=True)
+    assert job.items(collect_queue(path, wait=False, strict=False)) == 9
+
+
+def test_collect_times_out_on_an_undrained_queue(job, tmp_path):
+    path = str(tmp_path / "q.sqlite")
+    job.create(path)
+    with pytest.raises(QueueError, match="not finished"):
+        collect_queue(path, wait=True, poll=0.01, timeout=0.05)
+
+
+def test_drain_guard_finishes_a_dead_owners_shard_of_any_kind(job, tmp_path):
+    path = str(tmp_path / "q.sqlite")
+    job.create(path, lease_ttl=0.5)
+    with WorkQueue(path) as q:
+        assert q.lease("ghost") is not None
+    drain_with_local_workers(path, queue_worker, num_workers=1, poll=0.05)
+    assert job.answer(collect_queue(path, wait=False)) == job.expected()
+    with WorkQueue(path) as q:
+        counts = q.counts()
+        assert {tuple(sorted(s)) for _, _, s in q.results()} == {job.stats_keys}
+    assert counts["reclaimed"] >= 1
+    assert counts["done"] == counts["total"] == 4
+
+
+@pytest.mark.parametrize(
+    "meta", [{"queue": "test"}, {"fingerprint": "abc"}], ids=["unknown", "none"]
+)
+def test_a_queue_of_no_known_kind_is_refused(tmp_path, meta):
+    q = make_queue(tmp_path, meta=meta)
+    with pytest.raises(QueueError, match="unknown job kind"):
+        queue_worker(q.path, wait=False)
+    with pytest.raises(QueueError, match="unknown job kind"):
+        collect_queue(q.path, wait=False)
+    assert q.counts()["pending"] == len(SHARDS)
+    q.close()
+
+
+def test_a_process_importing_only_the_engine_drains_a_campaign(tmp_path):
+    import subprocess
+    import sys
+
+    job = CampaignJob()
+    path = str(tmp_path / "q.sqlite")
+    job.create(path)
+    script = (
+        "import sys\n"
+        "from repro.engine import queue_worker\n"
+        "assert 'repro.campaigns' not in sys.modules\n"
+        "print(queue_worker(sys.argv[1], wait=False)['trials'])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script, path],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    assert out.split() == ["12"]
+    assert collect_queue(path, wait=False).results == job.expected()
+
+
+def test_queue_status_names_the_job(job, tmp_path, capsys):
+    from repro.cli import main
+
+    path = str(tmp_path / "q.sqlite")
+    job.create(path)
+    assert main(["queue", "status", path]) == 0
+    out = capsys.readouterr().out
+    assert re.search(rf"job +: {job.kind}\n", out), out
+    assert ("workload" in out) == (job.kind == "census")
 
 
 # ----------------------------------------------------------------------

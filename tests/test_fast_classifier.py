@@ -6,7 +6,8 @@ from conftest import random_config_batch
 
 from repro.core.classifier import classify
 from repro.core.configuration import Configuration, line_configuration
-from repro.core.fast_classifier import fast_classify, traces_equal
+from repro.core.fast_classifier import fast_classify
+from repro.core.trace import traces_equal
 from repro.graphs.families import g_m, h_m, s_m
 
 

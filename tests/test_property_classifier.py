@@ -8,8 +8,9 @@ from conftest import configurations
 
 from repro.analysis.automorphisms import has_fixed_node
 from repro.core.classifier import classify
-from repro.core.fast_classifier import fast_classify, traces_equal
+from repro.core.fast_classifier import fast_classify
 from repro.core.partition import class_members, partition_key
+from repro.core.trace import traces_equal
 
 relaxed = settings(
     max_examples=60,

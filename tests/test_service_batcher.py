@@ -8,6 +8,7 @@ ticket's report is bit-for-bit what serial ``decide``/``elect`` produce
 
 import asyncio
 import json
+import re
 import threading
 import time
 
@@ -245,17 +246,21 @@ class TestTimeoutDiagnostics:
     ):
         """gather(timeout=) on a stalled dispatcher raises
         ServiceUnresponsiveError naming the ticket and the dispatcher
-        state, instead of a bare TimeoutError (or blocking forever)."""
+        state, instead of a bare TimeoutError (or blocking forever). A
+        dispatcher busy with a held batch says so: its heartbeat ages
+        as a wedged loop's would."""
         cfg = Configuration([(0, 1)], {0: 0, 1: 1})
         svc = BatchClassifier()  # its classification is held
         try:
             ticket = svc.submit(cfg)
+            assert held_classification.entered.wait(10)
             started = time.monotonic()
             with pytest.raises(ServiceUnresponsiveError) as excinfo:
                 svc.gather([ticket], timeout=0.2)
             assert time.monotonic() - started < 5
             message = str(excinfo.value)
             assert ticket.key in message and "alive=True" in message
+            assert re.search(r"classifying 1 item\(s\) for \d+\.\d{3}s", message)
         finally:
             held_classification.release()
             svc.close()  # must not hang
@@ -273,6 +278,7 @@ class TestTimeoutDiagnostics:
                 svc.submit(cfg, timeout=0.2)
             assert time.monotonic() - started < 1.5
             assert "wedged" in str(excinfo.value)
+            assert "no batch in flight" in str(excinfo.value)
             release.set()
         finally:
             svc.close()
