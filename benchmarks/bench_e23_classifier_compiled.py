@@ -4,10 +4,10 @@ The acceptance gates of the ``repro.core.compiled`` subsystem:
 
 1. **Bit-for-bit trace equality** — on an exhaustive small-n sweep
    (every connected shape × every tag vector), on the paper families
-   and on random configurations, the three classifier implementations
-   behind the ``algorithm`` knob — ``reference`` (faithful O(n³Δ)),
-   ``fast`` (hash-based ablation) and ``compiled`` (indexed, interned,
-   split-driven incremental) — produce the *identical*
+   and on random configurations, the classifier implementations behind
+   the ``algorithm`` knob — ``reference`` (faithful O(n³Δ)),
+   ``compiled`` (indexed, interned, split-driven incremental) and, with
+   numpy, the ``batch`` kernel — produce the *identical*
    :class:`~repro.core.trace.ClassifierTrace`: same labels, same class
    numbering, same representatives, same decision, leader and
    iteration count.
@@ -26,9 +26,9 @@ import time
 
 import pytest
 
-from repro.core.classifier import classify, reference_classify
+from repro.core.batch import HAVE_NUMPY
+from repro.core.classifier import ALGORITHM_NAMES, classify, reference_classify
 from repro.core.compiled import compiled_classify
-from repro.core.fast_classifier import fast_classify
 from repro.core.trace import traces_equal
 from repro.graphs.enumeration import enumerate_configurations
 from repro.graphs.families import g_m, h_m, s_m
@@ -48,14 +48,16 @@ TIMED_M = 40
 # gate 1: bit-for-bit ClassifierTrace equality
 # ----------------------------------------------------------------------
 def assert_all_algorithms_agree(cfg):
-    """Reference, fast and compiled traces must be field-for-field equal,
-    both called directly and through the dispatcher knob."""
+    """Reference and compiled traces must be field-for-field equal,
+    both called directly and through every dispatcher value (``batch``
+    only where numpy is importable)."""
     ref = reference_classify(cfg)
-    assert traces_equal(ref, fast_classify(cfg)), f"fast diverges on {cfg!r}"
     assert traces_equal(ref, compiled_classify(cfg)), (
         f"compiled diverges on {cfg!r}"
     )
-    for algorithm in ("reference", "fast", "compiled", "auto"):
+    for algorithm in ALGORITHM_NAMES:
+        if algorithm == "batch" and not HAVE_NUMPY:
+            continue
         assert traces_equal(ref, classify(cfg, algorithm=algorithm)), (
             f"dispatcher({algorithm}) diverges on {cfg!r}"
         )
@@ -176,13 +178,4 @@ def test_compiled_timing(benchmark, case):
     """Compiled classification wall time per family instance."""
     cfg = BENCH_CASES[case]()
     trace = benchmark(compiled_classify, cfg)
-    assert trace.decision
-
-
-@pytest.mark.benchmark(group="e23-fast")
-@pytest.mark.parametrize("case", sorted(BENCH_CASES))
-def test_fast_timing(benchmark, case):
-    """Hash-ablation classification wall time per family instance."""
-    cfg = BENCH_CASES[case]()
-    trace = benchmark(fast_classify, cfg)
     assert trace.decision

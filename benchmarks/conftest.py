@@ -4,11 +4,12 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each ``bench_eN_*.py`` module regenerates one experiment from the
-``docs/experiments.md`` index: it benchmarks the relevant operation *and*
-asserts the paper's qualitative shape (who wins, growth rate,
-impossibility), so a regression in either speed or correctness shows up
-here.
+``bench_paper_experiments.py`` gates E1–E18 from the experiment
+registry (:mod:`repro.reporting.experiments`), and each
+``bench_eN_*.py`` module gates one more experiment of the
+``docs/experiments.md`` index: it benchmarks the relevant operation
+*and* asserts its claim, so a regression in either speed or
+correctness shows up here.
 
 The workload builders live in :mod:`repro.engine.workloads` and are
 re-exported here (and in ``tests/conftest.py``) under identical names:

@@ -32,7 +32,6 @@ from .core import (
     decide,
     elect,
     elect_leader,
-    fast_classify,
     is_feasible,
     line_configuration,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "decide",
     "elect",
     "elect_leader",
-    "fast_classify",
     "is_feasible",
     "line_configuration",
     "make_patient",

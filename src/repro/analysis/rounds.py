@@ -1,8 +1,8 @@
 """Round-complexity measurement and growth-rate estimation.
 
-Used by the scaling experiments (E2, E3, E4, E7): measure a quantity over
+Used by the scaling experiments (E2, E3, E4): measure a quantity over
 a parameter sweep, then estimate the polynomial growth exponent from a
-log-log least-squares fit (numpy), and compare measurements against the
+log-log least-squares fit, and compare measurements against the
 paper's explicit bounds.
 """
 
@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
-
-try:  # only the log-log fits need numpy; the package imports without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised with numpy blocked
-    np = None
 
 
 @dataclass
@@ -34,14 +29,6 @@ class SweepResult:
     name: str
     points: List[SweepPoint]
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points], dtype=float)
-
     def growth_exponent(self, tail: int = 0) -> float:
         """Least-squares slope of log(value) against log(x).
 
@@ -49,18 +36,26 @@ class SweepResult:
         experiments assert a band around the paper's exponent. For
         quantities of the form a·x^k + b the additive constant biases the
         slope at small x; pass ``tail=j`` to fit only the j largest-x
-        points and recover the asymptotic exponent.
+        points and recover the asymptotic exponent. Pure Python, so the
+        fit (and EXPERIMENTS.md) is the same with or without numpy.
         """
-        xs, vs = self.xs, self.values
-        mask = (xs > 0) & (vs > 0)
-        if mask.sum() < 2:
+        logs = sorted(
+            (
+                (math.log(p.x), math.log(p.value))
+                for p in self.points
+                if p.x > 0 and p.value > 0
+            ),
+            key=lambda point: point[0],
+        )
+        if len(logs) < 2:
             raise ValueError("need at least two positive points for a fit")
-        lx, lv = np.log(xs[mask]), np.log(vs[mask])
         if tail and tail >= 2:
-            order = np.argsort(lx)
-            lx, lv = lx[order][-tail:], lv[order][-tail:]
-        slope, _intercept = np.polyfit(lx, lv, 1)
-        return float(slope)
+            logs = logs[-tail:]
+        mean_x = sum(lx for lx, _ in logs) / len(logs)
+        mean_v = sum(lv for _, lv in logs) / len(logs)
+        sxx = sum((lx - mean_x) ** 2 for lx, _ in logs)
+        sxv = sum((lx - mean_x) * (lv - mean_v) for lx, lv in logs)
+        return sxv / sxx
 
     def all_within_bounds(self) -> bool:
         """True iff no point exceeds its bound."""

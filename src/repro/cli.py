@@ -114,11 +114,10 @@ def _add_algorithm_arg(p: argparse.ArgumentParser) -> None:
         default="auto",
         help=(
             "classifier implementation: the faithful O(n³Δ) reference, "
-            "the hash-based fast ablation, the compiled incremental "
-            "core, the vectorized batch kernel, or auto (compiled for "
-            "one configuration; batch for population sweeps when numpy "
-            "is available — see docs/performance.md) — all bit-for-bit "
-            "equal"
+            "the compiled incremental core, the vectorized batch "
+            "kernel, or auto (compiled for one configuration; batch for "
+            "population sweeps when numpy is available — see "
+            "docs/performance.md) — all bit-for-bit equal"
         ),
     )
 
@@ -130,9 +129,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     cfg = _parse_config(args)
     algorithm = resolve_algorithm(args.algorithm)
-    # the fast ablation and the batch kernel cannot meter ops; profile
-    # them on wall time alone
-    meters = args.profile and algorithm not in ("fast", "batch")
+    # the batch kernel cannot meter ops; profile it on wall time alone
+    meters = args.profile and algorithm != "batch"
     counter = OpCounter() if meters else None
     # --profile is span-based: the timing below is the cli.classify
     # span's recorded duration, so the profile measures exactly what a
@@ -211,6 +209,7 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
     from .analysis.census import group_by_n, random_census_workload
     from .engine import (
         DEFAULT_LEASE_TTL,
+        QueueError,
         WorkQueue,
         collect_queue,
         create_census_queue,
@@ -224,8 +223,8 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
     )
     if args.role == "worker":
         # a worker may be launched before its coordinator has created
-        # the queue; wait for the file instead of racing it
-        import os as _os
+        # the queue, or while it is writing the file's tables; wait
+        # until the path opens as a queue instead of racing it
         import time as _time
 
         deadline = (
@@ -233,13 +232,17 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
             if args.queue_timeout
             else None
         )
-        while not _os.path.exists(args.queue):
-            if deadline is not None and _time.monotonic() > deadline:
-                raise SystemExit(
-                    f"census: no work queue at {args.queue!r} after "
-                    f"{args.queue_timeout}s"
-                )
-            _time.sleep(0.2)
+        while True:
+            try:
+                WorkQueue(args.queue).close()
+                break
+            except QueueError:
+                if deadline is not None and _time.monotonic() > deadline:
+                    raise SystemExit(
+                        f"census: no work queue at {args.queue!r} after "
+                        f"{args.queue_timeout}s"
+                    )
+                _time.sleep(0.2)
         drain_with_local_workers(
             args.queue,
             functools.partial(queue_worker, lease_ttl=args.lease_ttl),

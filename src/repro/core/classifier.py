@@ -7,8 +7,6 @@ on an ``algorithm`` knob:
 * ``"reference"`` — :func:`reference_classify`, the faithful O(n³Δ)
   transcription below (the Lemma 3.5 cost model; the oracle all other
   implementations are gated against);
-* ``"fast"`` — :func:`repro.core.fast_classifier.fast_classify`, the
-  hash-based ablation (same output, O(nΔ log Δ) per iteration);
 * ``"compiled"`` — :func:`repro.core.compiled.compiled_classify`, the
   indexed, label-interned, split-driven incremental core;
 * ``"batch"`` — :func:`repro.core.batch.batch_classify`, the
@@ -21,7 +19,7 @@ on an ``algorithm`` knob:
   instead, which picks ``"batch"`` when numpy is available.
 
 All implementations produce bit-for-bit identical
-:class:`~repro.core.trace.ClassifierTrace` objects (enforced by the
+:class:`~repro.core.trace.ClassifierTrace` objects (enforced by E8, the
 E23/E24 benchmarks and the shared differential harness in
 :mod:`repro.testing`), so the knob is a pure performance choice.
 
@@ -67,7 +65,7 @@ class ClassifierInvariantError(AssertionError):
 
 
 #: Accepted values of the ``algorithm`` knob, in CLI display order.
-ALGORITHM_NAMES = ("auto", "batch", "compiled", "fast", "reference")
+ALGORITHM_NAMES = ("auto", "batch", "compiled", "reference")
 
 
 def resolve_algorithm(algorithm: str) -> str:
@@ -106,17 +104,16 @@ def classify(
         meter operations; the total lands in ``trace.total_ops``.
         Reference metering is the Lemma 3.5 O(n³Δ) accounting; compiled
         metering counts the incremental path's actual work. The
-        ``fast`` ablation and the ``batch`` kernel do not meter (a
-        :class:`ValueError`); ``classifier_ops`` stays pinned to the
-        reference units regardless of this knob.
+        ``batch`` kernel does not meter (a :class:`ValueError`);
+        ``classifier_ops`` stays pinned to the reference units
+        regardless of this knob.
     counter:
         meter into this :class:`~repro.core.partition.OpCounter`
         instead of a fresh one — callers that want the
         ``triple_ops``/``label_ops`` split (e.g. the CLI ``--profile``
         flag) pass one and read it back; implies ``count_ops``.
     algorithm:
-        ``"reference"``, ``"fast"``, ``"compiled"``, ``"batch"`` or
-        ``"auto"``.
+        ``"reference"``, ``"compiled"``, ``"batch"`` or ``"auto"``.
     """
     algorithm = resolve_algorithm(algorithm)
     if _OBS.enabled:  # per-call: guarded, one attribute check when off
@@ -124,15 +121,6 @@ def classify(
         _registry.inc(f"classifier.calls.{algorithm}")
     if algorithm == "reference":
         return reference_classify(config, count_ops=count_ops, counter=counter)
-    if algorithm == "fast":
-        if count_ops or counter is not None:
-            raise ValueError(
-                "the fast classifier does not meter operations; use "
-                'algorithm="reference" (Lemma 3.5 units) or "compiled"'
-            )
-        from .fast_classifier import fast_classify
-
-        return fast_classify(config)
     if algorithm == "batch":
         if count_ops or counter is not None:
             raise ValueError(

@@ -62,7 +62,7 @@ def decide(
     """Decide feasibility of ``config`` (Theorem 3.17).
 
     ``algorithm`` selects the classifier implementation
-    (``"reference"``, ``"fast"``, ``"compiled"`` or ``"auto"``; see
+    (``"reference"``, ``"compiled"``, ``"batch"`` or ``"auto"``; see
     :func:`repro.core.classifier.classify`) — every choice returns the
     identical report.
     """

@@ -160,9 +160,17 @@ class WorkQueue:
             raise QueueError(f"no work queue at {path!r} (create one first)")
         self.path = path
         self._lock = threading.RLock()
-        self._conn = self._connect(path)
-        stored = self.meta()
+        try:
+            self._conn = self._connect(path)
+        except sqlite3.DatabaseError as exc:
+            raise QueueError(f"{path!r} is not a work queue ({exc})") from None
+        try:
+            stored = self.meta()
+        except sqlite3.DatabaseError as exc:  # e.g. no meta table (yet)
+            self._conn.close()
+            raise QueueError(f"{path!r} is not a work queue ({exc})") from None
         if stored.get("schema") != QUEUE_SCHEMA_VERSION:
+            self._conn.close()
             raise QueueError(
                 f"queue {path!r} has schema {stored.get('schema')!r}, "
                 f"this build speaks {QUEUE_SCHEMA_VERSION}"
@@ -191,9 +199,13 @@ class WorkQueue:
         # manual transaction control: single mutations autocommit, the
         # lease read-modify-write wraps itself in BEGIN IMMEDIATE
         conn.isolation_level = None
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("PRAGMA busy_timeout=30000")
+        except sqlite3.DatabaseError:  # e.g. "file is not a database"
+            conn.close()
+            raise
         return conn
 
     @classmethod

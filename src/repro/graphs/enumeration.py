@@ -8,6 +8,7 @@ graph atlas) crossed with all normalized tag vectors up to a given span.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, List, Tuple
 
@@ -22,27 +23,35 @@ def connected_graphs(n: int) -> List[List[Edge]]:
     one per isomorphism class (n <= 7; atlas-backed for speed).
 
     Uses ``networkx.graph_atlas_g`` when available and falls back to
-    brute-force enumeration with isomorphism filtering.
+    brute-force enumeration with isomorphism filtering. The shapes are
+    computed once per ``n`` and process; each call returns fresh lists.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 7:
         raise ValueError("exhaustive enumeration supported for n <= 7")
+    return [list(edges) for edges in _connected_shapes(n)]
+
+
+@lru_cache(maxsize=None)
+def _connected_shapes(n: int) -> Tuple[Tuple[Edge, ...], ...]:
+    # reading the atlas (1,253 graphs) costs ~0.1 s, and an enumerated
+    # census regenerates its shapes once per shard
     import networkx as nx
 
     if n == 1:
-        return [[]]
+        return ((),)
     try:
         from networkx.generators.atlas import graph_atlas_g
     except ImportError:  # pragma: no cover - atlas ships with networkx
-        return _brute_force_connected(n)
+        return tuple(map(tuple, _brute_force_connected(n)))
 
-    out: List[List[Edge]] = []
-    for g in graph_atlas_g():
-        if g.number_of_nodes() == n and nx.is_connected(g):
-            # Relabel to 0..n-1 (atlas graphs already use that labeling).
-            out.append(sorted(tuple(sorted(e)) for e in g.edges()))
-    return out
+    # atlas graphs already use the labels 0..n-1
+    return tuple(
+        tuple(sorted(tuple(sorted(e)) for e in g.edges()))
+        for g in graph_atlas_g()
+        if g.number_of_nodes() == n and nx.is_connected(g)
+    )
 
 
 def _brute_force_connected(n: int) -> List[List[Edge]]:

@@ -210,7 +210,7 @@ def test_batch_algorithm_refuses_op_metering():
 def test_resolve_batch_algorithm():
     assert resolve_batch_algorithm("auto") == "batch"
     assert resolve_batch_algorithm("batch") == "batch"
-    for name in ("compiled", "fast", "reference"):
+    for name in ("compiled", "reference"):
         assert resolve_batch_algorithm(name) == name
     with pytest.raises(ValueError, match="unknown classifier algorithm"):
         resolve_batch_algorithm("quantum")

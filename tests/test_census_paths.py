@@ -6,8 +6,8 @@ A census runs three ways: the serial oracle
 the plain ``repro-radio census``), and the durable work queue
 (:func:`repro.engine.distributed_census`, behind ``census --queue``),
 which is also the only way to resume one. These tests run one seeded
-population through all of them, and resume a half-finished queue from
-the CLI.
+population through all of them, and through every classifier
+algorithm, and resume a half-finished queue from the CLI.
 """
 
 import pytest
@@ -19,6 +19,8 @@ from repro.analysis.census import (
     random_census_workload,
 )
 from repro.cli import build_parser, main
+from repro.core.batch import HAVE_NUMPY
+from repro.core.classifier import ALGORITHM_NAMES
 from repro.engine import (
     ResultCache,
     WorkQueue,
@@ -30,6 +32,9 @@ from repro.engine import (
 )
 from repro.reporting.tables import format_table
 from repro.testing import random_census_configs
+
+#: every classifier algorithm (``batch`` only where numpy is importable)
+ALGORITHMS = [a for a in ALGORITHM_NAMES if a != "batch" or HAVE_NUMPY]
 
 #: one seeded population, as the CLI spells it and as the API takes it
 N_VALUES, SPAN, P, SAMPLES, SEED = [5, 6, 7], 2, 0.3, 8, 11
@@ -81,6 +86,10 @@ def test_every_census_path_gives_the_oracle_rows(
     runs["distributed x2"] = distributed_census(
         workload, str(tmp_path / "api.sqlite"), num_workers=2, **kw
     ).result
+    for algorithm in ALGORITHMS:
+        runs[f"sharded, algorithm={algorithm}"] = sharded_census(
+            workload, algorithm=algorithm, **kw
+        ).result
     for name, result in runs.items():
         assert result.rows == oracle.rows, name
 
@@ -88,6 +97,9 @@ def test_every_census_path_gives_the_oracle_rows(
     assert table_lines(cli(capsys)) == expected
     queued = cli(capsys, "--queue", str(tmp_path / "cli.sqlite"), "--workers", "2")
     assert table_lines(queued) == expected
+    for algorithm in ALGORITHMS:
+        out = cli(capsys, "--algorithm", algorithm)
+        assert table_lines(out) == expected, algorithm
 
 
 def test_cli_queue_resumes_a_half_finished_census(workload, tmp_path, capsys):

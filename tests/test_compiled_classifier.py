@@ -1,4 +1,4 @@
-"""Cross-algorithm agreement: reference == fast == compiled == batch.
+"""Cross-algorithm agreement: reference == compiled == batch.
 
 The contract every non-reference implementation signs is bit-for-bit
 :class:`~repro.core.trace.ClassifierTrace` equality with the faithful
@@ -40,7 +40,6 @@ from repro.core.configuration import (
     ConfigurationError,
     line_configuration,
 )
-from repro.core.fast_classifier import fast_classify
 from repro.core.partition import OpCounter
 from repro.graphs.families import g_m
 
@@ -58,7 +57,6 @@ relaxed = settings(
 @given(configurations(max_n=9, max_span=4))
 def test_three_algorithms_agree(cfg):
     ref = reference_classify(cfg)
-    assert_trace_equal(fast_classify(cfg), ref, context="fast")
     assert_trace_equal(compiled_classify(cfg), ref, context="compiled")
 
 
@@ -71,7 +69,6 @@ def test_agreement_survives_non_integer_node_names(cfg):
     named = cfg.relabel({v: f"node-{v:03d}" for v in cfg.nodes})
     ref = reference_classify(named)
     assert_trace_equal(compiled_classify(named), ref, context="compiled")
-    assert_trace_equal(fast_classify(named), ref, context="fast")
     if ref.feasible:
         assert isinstance(ref.leader, str)
 
@@ -107,12 +104,6 @@ def test_unknown_algorithm_rejected():
         resolve_algorithm("quantum")
 
 
-def test_fast_algorithm_refuses_op_metering():
-    cfg = line_configuration([0, 1])
-    with pytest.raises(ValueError, match="does not meter"):
-        classify(cfg, algorithm="fast", count_ops=True)
-
-
 def test_disconnected_input_fails_identically_for_every_algorithm():
     """Disconnection is rejected at Configuration construction, before
     any algorithm runs — so all knob values share the error path."""
@@ -138,12 +129,10 @@ def test_invariant_violation_parity(monkeypatch):
     import repro.core.batch as batch_mod
     import repro.core.classifier as ref_mod
     import repro.core.compiled as compiled_mod
-    import repro.core.fast_classifier as fast_mod
 
     cfg = line_configuration([0, 1, 0])
     runs = [
         (ref_mod, lambda: reference_classify(cfg)),
-        (fast_mod, lambda: fast_classify(cfg)),
         (compiled_mod, lambda: compiled_classify(cfg)),
     ]
     if batch_mod.HAVE_NUMPY:

@@ -176,6 +176,12 @@ def test_compiled_core_public_api_documented():
     assert not missing, f"undocumented repro.core.compiled items: {missing}"
 
 
+def test_experiment_registry_is_covered():
+    """The experiment registry must be walked by this gate (no package
+    ``__init__`` imports it, so only the walk reaches it)."""
+    assert "repro.reporting.experiments" in MODULES
+
+
 def test_batch_kernel_is_covered():
     """The batch kernel must be walked by this gate: a silent pkgutil
     skip would exempt the population-scale classification path from the

@@ -12,6 +12,7 @@ mid-run failures.
 
 import os
 import re
+import sqlite3
 import threading
 import time
 
@@ -204,6 +205,53 @@ def test_coordinator_restart_resumes_half_finished_queue(tmp_path):
 def test_open_missing_or_foreign_file_raises(tmp_path):
     with pytest.raises(QueueError, match="create one first"):
         WorkQueue(str(tmp_path / "absent.sqlite"))
+
+
+def _wal_file_without_tables(path):
+    # what WorkQueue.create leaves on disk before its tables commit
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.close()
+
+
+def _text_file(path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("not a queue\n")
+
+
+NOT_QUEUES = pytest.mark.parametrize(
+    "make", [_wal_file_without_tables, _text_file], ids=["empty-wal", "text"]
+)
+
+
+@NOT_QUEUES
+def test_a_file_that_is_not_a_queue_is_refused(make, tmp_path):
+    path = str(tmp_path / "q.sqlite")
+    make(path)
+    with pytest.raises(QueueError, match="is not a work queue"):
+        WorkQueue(path)
+
+
+@NOT_QUEUES
+def test_queue_status_refuses_a_file_that_is_not_a_queue(make, tmp_path):
+    from repro.cli import main
+
+    path = str(tmp_path / "q.sqlite")
+    make(path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["queue", "status", path])
+    message = str(exit_.value.code)
+    assert re.fullmatch(r"queue: .* is not a work queue \(.*\)", message)
+
+
+def test_a_worker_waits_for_the_tables_not_just_the_file(tmp_path):
+    from repro.cli import main
+
+    path = str(tmp_path / "q.sqlite")
+    _wal_file_without_tables(path)
+    with pytest.raises(SystemExit, match=r"no work queue at .* after 1\.0s"):
+        main(["census", "--queue", path, "--role", "worker",
+              "--queue-timeout", "1"])
 
 
 # ----------------------------------------------------------------------

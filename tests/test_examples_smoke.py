@@ -3,7 +3,8 @@
 Examples are the public face of the library; a release where
 ``python examples/quickstart.py`` crashes is broken no matter what the
 unit tests say. Each script is executed in a subprocess with a generous
-timeout; scripts that write files are pointed at a temp directory.
+timeout. ``generate_experiments_md.py`` runs in
+``tests/test_experiments_md.py``, which also checks its output.
 """
 
 import os
@@ -57,20 +58,3 @@ def test_example_runs_clean(script):
     )
     assert result.stdout.strip(), f"{script} produced no output"
 
-
-def test_generate_experiments_md(tmp_path):
-    out = tmp_path / "EXPERIMENTS.md"
-    result = run_example("generate_experiments_md.py", str(out))
-    assert result.returncode == 0, result.stderr[-2000:]
-    text = out.read_text(encoding="utf-8")
-    assert text.startswith("# EXPERIMENTS")
-    assert "❌" not in text, "a reproduction check regressed"
-    for eid in range(1, 19):
-        assert f"E{eid} —" in text, f"missing section E{eid}"
-
-
-def test_run_experiments_script():
-    result = run_example("run_experiments.py")
-    assert result.returncode == 0, result.stderr[-2000:]
-    for eid in ("E1", "E5", "E10"):
-        assert eid in result.stdout

@@ -8,21 +8,13 @@ from conftest import configurations
 
 from repro.analysis.automorphisms import has_fixed_node
 from repro.core.classifier import classify
-from repro.core.fast_classifier import fast_classify
 from repro.core.partition import class_members, partition_key
-from repro.core.trace import traces_equal
 
 relaxed = settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@relaxed
-@given(configurations())
-def test_fast_equals_faithful(cfg):
-    assert traces_equal(classify(cfg), fast_classify(cfg))
 
 
 @relaxed
