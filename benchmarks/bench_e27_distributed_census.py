@@ -1,8 +1,8 @@
 """E27 — Distributed census: durable queue, lease workers, resilience.
 
 The acceptance gates of the distributed census subsystem
-(:mod:`repro.engine.queue` + :mod:`repro.engine.scheduler` wired through
-:func:`repro.engine.pipeline.distributed_census`):
+(:mod:`repro.engine.queue`, costliest pending shard leased first, wired
+through :func:`repro.engine.pipeline.distributed_census`):
 
 1. **Bit-for-bit equality** — a cold census drained by 4 worker
    *processes* through the SQLite work queue merges to exactly the rows

@@ -327,7 +327,7 @@ def _print_stats_json(engine=None, queue_counts=None) -> None:
 
     ``engine`` is an ``as_dict`` callable; ``queue_counts`` is a queue's
     :meth:`~repro.engine.queue.WorkQueue.counts` dict — each becomes a
-    registry group in the snapshot, mirroring what the gauges publish.
+    registry group in the snapshot.
     """
     import json as _json
 

@@ -17,11 +17,10 @@ from throwaway sweeps into accumulating, resumable artifacts:
 * :mod:`repro.engine.pipeline` — the in-process sharded census runner,
   bit-for-bit equal to the serial :func:`repro.analysis.census.census`
   path;
-* :mod:`repro.engine.queue` + :mod:`repro.engine.scheduler` — the
-  distributed path and the only resumable one: a durable SQLite work
-  queue that N independent worker processes drain under
-  lease/heartbeat semantics, with pending shards ranked by expected
-  classification yield (see ``docs/distributed.md``). One worker
+* :mod:`repro.engine.queue` — the distributed path and the only
+  resumable one: a durable SQLite work queue that N independent worker
+  processes drain under lease/heartbeat semantics, costliest pending
+  shard first (see ``docs/distributed.md``). One worker
   (:func:`queue_worker`) and one collect step (:func:`collect_queue`)
   serve both job kinds, censuses and robustness campaigns.
 
@@ -77,12 +76,6 @@ from .queue import (
     heartbeat_guard,
     queue_worker,
 )
-from .scheduler import (
-    ShardCandidate,
-    expected_yield,
-    observed_miss_rate,
-    rank,
-)
 from .workloads import (
     EnumerationWorkload,
     RandomGnpWorkload,
@@ -111,7 +104,6 @@ __all__ = [
     "RandomGnpWorkload",
     "ResultCache",
     "SequenceWorkload",
-    "ShardCandidate",
     "ShardSpec",
     "WorkQueue",
     "Workload",
@@ -126,17 +118,14 @@ __all__ = [
     "default_keyer",
     "default_owner",
     "distributed_census",
-    "expected_yield",
     "feasible_batch",
     "group_by_n_span",
     "heartbeat_guard",
     "labeled_key",
     "make_random_config",
-    "observed_miss_rate",
     "plan_shards",
     "queue_worker",
     "random_config_batch",
-    "rank",
     "record_sufficient",
     "register_grouping",
     "register_workload_kind",

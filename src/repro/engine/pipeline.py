@@ -675,8 +675,8 @@ def create_census_queue(
     the shared JSONL cache path. Only a ``measure_rounds`` census uses
     the cache (``None`` means every worker keeps a private in-memory
     one); a classify-only census's workers never open it. Each shard is
-    enqueued with the workload's static cost estimate so the scheduler
-    can rank by expected yield.
+    enqueued with the workload's static cost estimate, and workers
+    lease the costliest pending shard first.
 
     Creation is idempotent: re-running the coordinator against a queue
     holding the *same* run resumes it; a different run at the same path
@@ -713,7 +713,7 @@ def _open_census(meta: Dict):
 
     The runner classifies one shard (:func:`_classify_shard`) and
     returns its rows and ``{"classified", "cache_hits", "deduped"}``
-    stats, which the scheduler ranks pending shards on. A
+    stats, which the merge sums into the run's engine stats. A
     ``measure_rounds`` queue's worker opens the queue's cache once and
     classifies through it; a classify-only one opens no cache and
     computes no key (see :func:`sharded_census`).
@@ -813,10 +813,10 @@ def distributed_census(
     so the call either returns the complete census or raises on
     permanently failed shards.
 
-    ``num_shards`` defaults to ``4 * num_workers`` so the scheduler has
-    slack to balance uneven shard costs across workers. ``cache_path``
-    serves a ``measure_rounds`` census only (see
-    :func:`create_census_queue`).
+    ``num_shards`` defaults to ``4 * num_workers`` so that leasing the
+    costliest shard first has slack to balance uneven shard costs
+    across workers. ``cache_path`` serves a ``measure_rounds`` census
+    only (see :func:`create_census_queue`).
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")

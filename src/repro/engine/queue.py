@@ -15,11 +15,11 @@ Lifecycle of a shard row::
        +-----------------+
                          |--fail/expire (attempts >= cap)--> failed
 
-* **Lease** — the best pending shard (ranked by
-  :mod:`repro.engine.scheduler`) is atomically marked ``leased`` with
-  an owner id and a deadline ``lease_expires``. Within one transaction
-  at most one worker can win a shard, so double classification of a
-  live shard is impossible by construction.
+* **Lease** — the costliest pending shard (ties: lowest index) is
+  atomically marked ``leased`` with an owner id and a deadline
+  ``lease_expires``. Within one transaction at most one worker can win
+  a shard, so double classification of a live shard is impossible by
+  construction.
 * **Heartbeat** — the owner periodically pushes ``lease_expires``
   forward. A worker that is merely slow keeps its lease; a worker that
   was SIGKILL'd stops heartbeating and its lease expires.
@@ -33,10 +33,9 @@ Lifecycle of a shard row::
   no-op. Merging (:func:`collect_queue`) reads each ``done`` row
   exactly once, so the merge is idempotent.
 
-Queue state is mirrored into the process observability registry
-(``queue.pending`` / ``queue.leased`` / ``queue.done`` /
-``queue.failed`` gauges, ``queue.leases`` / ``queue.reclaimed`` /
-``queue.retried`` counters) and, when tracing is enabled,
+Lease traffic is counted in the process observability registry
+(``queue.leases`` / ``queue.reclaimed`` / ``queue.retried`` counters;
+queue depth is :meth:`WorkQueue.counts`) and, when tracing is enabled,
 ``shard.leased`` / ``shard.reclaimed`` events join the run-event log.
 
 The queue is record-agnostic about *what* a shard computes: it stores
@@ -66,11 +65,10 @@ from ..obs.runtime import event as _obs_event
 from ..obs.runtime import flush as _obs_flush
 from ..obs.runtime import registry as _registry
 from ..obs.runtime import span as _obs_span
-from .scheduler import ShardCandidate, observed_miss_rate, rank
 
 #: Version stamped into the queue's meta table; opening a queue written
 #: by a different schema version fails loudly instead of misbehaving.
-QUEUE_SCHEMA_VERSION = 1
+QUEUE_SCHEMA_VERSION = 2
 
 #: Default seconds a lease stays valid without a heartbeat.
 DEFAULT_LEASE_TTL = 30.0
@@ -185,10 +183,6 @@ class WorkQueue:
             if max_attempts is not None
             else int(stored.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
         )
-        # mirror the queue depth into this process's registry on open,
-        # so a coordinator that only creates/merges (all leasing happens
-        # in worker processes) still reports live gauges
-        self._publish()
 
     # ------------------------------------------------------------------
     # construction
@@ -217,14 +211,14 @@ class WorkQueue:
         *,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        now: Optional[float] = None,
     ) -> "WorkQueue":
         """Create a queue, or resume one whose fingerprint matches.
 
         ``shards`` is a sequence of ``(index, start, stop, cost)``
-        tuples; ``meta`` is a JSON-able dict describing the run (the
-        pipeline stores the workload spec, census options, and cache
-        path there). Creation is idempotent: if ``path`` already holds
+        tuples; :meth:`lease` hands out the largest ``cost`` first.
+        ``meta`` is a JSON-able dict describing the run (the pipeline
+        stores the workload spec, census options, and cache path
+        there). Creation is idempotent: if ``path`` already holds
         a queue whose meta matches ``meta`` key for key, the existing
         queue is opened untouched — a restarted coordinator resumes a
         half-finished run instead of double-enqueueing. A *mismatched*
@@ -246,7 +240,6 @@ class WorkQueue:
                     f"mismatched meta: {sorted(mismatch)}"
                 )
             return queue
-        now = time.time() if now is None else now
         conn = cls._connect(path)
         try:
             try:
@@ -265,15 +258,16 @@ class WorkQueue:
                         attempts INTEGER NOT NULL DEFAULT 0,
                         owner TEXT,
                         lease_expires REAL,
-                        enqueued_at REAL NOT NULL,
                         rows TEXT,
                         stats TEXT,
                         error TEXT
                     )
                     """
                 )
+                # the lease query reads its first entry (no sort); the
+                # status prefix serves every other status filter
                 conn.execute(
-                    "CREATE INDEX shards_status ON shards (status)"
+                    "CREATE INDEX shards_lease ON shards (status, cost DESC, idx)"
                 )
                 payload = dict(meta)
                 payload.setdefault("schema", QUEUE_SCHEMA_VERSION)
@@ -284,9 +278,9 @@ class WorkQueue:
                     [(k, json.dumps(v)) for k, v in payload.items()],
                 )
                 conn.executemany(
-                    "INSERT INTO shards (idx, start, stop, cost, enqueued_at)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    [(i, a, b, c, now) for i, a, b, c in shards],
+                    "INSERT INTO shards (idx, start, stop, cost)"
+                    " VALUES (?, ?, ?, ?)",
+                    shards,
                 )
                 conn.execute("COMMIT")
             except sqlite3.OperationalError:
@@ -305,7 +299,6 @@ class WorkQueue:
                     meta,
                     lease_ttl=lease_ttl,
                     max_attempts=max_attempts,
-                    now=now,
                 )
         finally:
             conn.close()
@@ -340,8 +333,7 @@ class WorkQueue:
         "reclaimed"}`` — ``retried`` counts re-executions granted
         (leases beyond a shard's first), ``reclaimed`` counts expired
         leases swept back. This dict is what ``census --stats-json``
-        ships as the ``queue`` group and what the registry gauges
-        mirror.
+        ships as the ``queue`` group and ``queue status`` prints.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -353,12 +345,6 @@ class WorkQueue:
             out["retried"] = self._counter("retried")
             out["reclaimed"] = self._counter("reclaimed")
         return out
-
-    def _publish(self, counts: Optional[Dict[str, int]] = None) -> None:
-        """Mirror queue depth into the process metrics registry."""
-        counts = counts or self.counts()
-        for state in SHARD_STATES:
-            _registry.set_gauge(f"queue.{state}", counts[state])
 
     # ------------------------------------------------------------------
     # the lease protocol
@@ -398,12 +384,11 @@ class WorkQueue:
     def lease(
         self, owner: Optional[str] = None, *, now: Optional[float] = None
     ) -> Optional[Lease]:
-        """Atomically claim the best pending shard; None when none is.
+        """Atomically claim the costliest pending shard; None when none is.
 
-        One ``BEGIN IMMEDIATE`` transaction sweeps expired leases, ranks
-        the pending shards by expected yield
-        (:func:`repro.engine.scheduler.rank`, fed the observed miss
-        rate of committed shards), and marks the winner ``leased`` for
+        One ``BEGIN IMMEDIATE`` transaction sweeps expired leases, picks
+        the pending shard with the largest cost (ties: lowest index)
+        through the ``shards_lease`` index, and marks it ``leased`` for
         this owner. ``None`` means no shard is *currently* leasable —
         the queue may still hold live leases owned by other workers, so
         callers poll :meth:`finished` before giving up.
@@ -414,34 +399,15 @@ class WorkQueue:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
                 self._reclaim_expired(now)
-                pending = self._conn.execute(
-                    "SELECT idx, start, stop, cost, attempts, enqueued_at "
-                    "FROM shards WHERE status = 'pending'"
-                ).fetchall()
-                if not pending:
+                row = self._conn.execute(
+                    "SELECT idx, start, stop, cost, attempts FROM shards "
+                    "WHERE status = 'pending' "
+                    "ORDER BY cost DESC, idx LIMIT 1"
+                ).fetchone()
+                if row is None:
                     self._conn.execute("COMMIT")
-                    self._publish()
                     return None
-                stats = [
-                    json.loads(s)
-                    for (s,) in self._conn.execute(
-                        "SELECT stats FROM shards "
-                        "WHERE status = 'done' AND stats IS NOT NULL"
-                    ).fetchall()
-                ]
-                miss = observed_miss_rate(stats)
-                ranked = rank(
-                    [
-                        ShardCandidate(index=i, cost=c, enqueued_at=e)
-                        for i, _, _, c, _, e in pending
-                    ],
-                    now,
-                    miss_rate=1.0 if miss is None else miss,
-                )
-                by_index = {row[0]: row for row in pending}
-                idx, start, stop, cost, attempts, _ = by_index[
-                    ranked[0].index
-                ]
+                idx, start, stop, cost, attempts = row
                 expires = now + self.lease_ttl
                 self._conn.execute(
                     "UPDATE shards SET status = 'leased', owner = ?, "
@@ -456,7 +422,6 @@ class WorkQueue:
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
-            self._publish()
         _registry.inc("queue.leases")
         if _OBS.enabled:
             _obs_event(
@@ -496,8 +461,6 @@ class WorkQueue:
         lease: Lease,
         rows: List[Dict],
         stats: Optional[Dict[str, object]] = None,
-        *,
-        now: Optional[float] = None,
     ) -> bool:
         """Store a shard's result and mark it ``done``; owner-guarded.
 
@@ -522,12 +485,9 @@ class WorkQueue:
                 ),
             )
             self._conn.commit()
-            self._publish()
         return cur.rowcount == 1
 
-    def fail(
-        self, lease: Lease, error: str, *, now: Optional[float] = None
-    ) -> bool:
+    def fail(self, lease: Lease, error: str) -> bool:
         """Report a shard execution error; owner-guarded like commit.
 
         Below the attempt cap the shard returns to ``pending`` for a
@@ -550,7 +510,6 @@ class WorkQueue:
                 ),
             )
             self._conn.commit()
-            self._publish()
         return cur.rowcount == 1
 
     # ------------------------------------------------------------------
@@ -599,9 +558,7 @@ class WorkQueue:
         )
         return [dict(zip(keys, row)) for row in rows]
 
-    def requeue(
-        self, *, include_failed: bool = False, now: Optional[float] = None
-    ) -> int:
+    def requeue(self, *, include_failed: bool = False) -> int:
         """Force leased (and optionally failed) shards back to pending.
 
         An operator tool for a queue whose workers are known dead: live
@@ -624,7 +581,6 @@ class WorkQueue:
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
-            self._publish()
         return cur.rowcount
 
     def close(self) -> None:

@@ -83,8 +83,8 @@ class Workload:
     to run under the distributed queue additionally implement
     :meth:`to_spec` (a JSON-able self-description a worker process can
     rebuild the workload from via :func:`workload_from_spec`) and may
-    refine :meth:`estimate_cost` (the scheduler's per-shard yield
-    estimate).
+    refine :meth:`estimate_cost` (the per-shard cost that orders
+    leases).
     """
 
     def __len__(self) -> int:
@@ -98,10 +98,10 @@ class Workload:
     def estimate_cost(self, start: int, stop: int) -> float:
         """Cheap static cost estimate for the item range ``[start, stop)``.
 
-        Feeds the queue scheduler's expected-yield ranking
-        (:mod:`repro.engine.scheduler`); must *never* generate the
-        configurations (estimation runs over the whole workload at
-        enqueue time). The default — item count — is always safe;
+        Orders the work queue's leases, largest cost first
+        (:meth:`repro.engine.queue.WorkQueue.lease`); must *never*
+        generate the configurations (estimation runs over the whole
+        workload at enqueue time). The default — item count — is always safe;
         parametric workloads override it with a classification-shaped
         estimate (~n³ per item) so mixed-size workloads front-load
         their expensive shards. Only the *relative* ordering matters.

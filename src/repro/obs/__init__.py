@@ -3,7 +3,7 @@
 ``repro.obs`` is the repo's zero-dependency observability layer:
 hierarchical trace spans with a validated JSONL run-event log
 (:mod:`~repro.obs.tracing`, :mod:`~repro.obs.events`), a process-wide
-counter/gauge/histogram registry that absorbs the legacy per-component
+counter/histogram registry that absorbs the legacy per-component
 stats surfaces and renders the same Prometheus text as the server
 (:mod:`~repro.obs.registry`), and a span-tree/hotspot summarizer
 behind ``repro-radio trace summarize`` (:mod:`~repro.obs.summary`).
@@ -26,7 +26,7 @@ from .events import (
     validate_event,
     validate_events,
 )
-from .registry import Counter, Gauge, MetricsRegistry
+from .registry import Counter, MetricsRegistry
 from .runtime import (
     STATE,
     ObsState,
@@ -53,7 +53,6 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EventSchemaError",
     "Counter",
-    "Gauge",
     "MetricsRegistry",
     "NOOP_SPAN",
     "ObsState",

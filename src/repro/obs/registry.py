@@ -1,4 +1,4 @@
-"""Process-wide counter/gauge/histogram registry behind one snapshot.
+"""Process-wide counter/histogram registry behind one snapshot.
 
 The repo grew several per-instance accounting surfaces —
 :class:`~repro.engine.cache.CacheStats`,
@@ -9,7 +9,7 @@ them behind one :meth:`MetricsRegistry.snapshot`: components register
 their ``as_dict`` as a *group provider* (read live at snapshot time, so
 the numbers are always the instance's own — equality with the legacy
 surfaces is pinned by ``tests/test_obs.py``), while instrumented code
-paths increment flat counters/gauges directly.
+paths increment flat counters directly.
 
 Rendering reuses :mod:`repro.service.metrics`'s Prometheus text
 encoder, so a CLI run (``census --stats-json`` /
@@ -55,22 +55,8 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A named value that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the current value."""
-        self.value = value
-
-
 class MetricsRegistry:
-    """Counters, gauges, histograms, heartbeats, and group providers.
+    """Counters, histograms, heartbeats, and group providers.
 
     One module-level instance (:data:`repro.obs.runtime.registry`)
     serves the whole process; tests build private ones. Names are
@@ -79,7 +65,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: "Dict[str, Counter]" = {}
-        self._gauges: "Dict[str, Gauge]" = {}
         self._histograms: Dict[str, object] = {}
         self._heartbeats: Dict[str, float] = {}
         self._groups: "Dict[str, Callable[[], Dict]]" = {}
@@ -97,17 +82,6 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
         self.counter(name).inc(n)
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge named ``name``, created at zero on first use."""
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value``."""
-        self.gauge(name).set(value)
 
     def histogram(self, name: str, buckets: Optional[Sequence[float]] = None):
         """The histogram named ``name`` (reuses the service encoder's
@@ -166,9 +140,9 @@ class MetricsRegistry:
     def snapshot(self) -> Dict:
         """One JSON-ready dict of everything the registry knows.
 
-        Shape: ``{"counters": {...}, "gauges": {...}, "histograms":
-        {name: {"count", "sum", "buckets"}}, "heartbeats": {name:
-        age_seconds}, "groups": {group: provider()}}`` — keys sorted,
+        Shape: ``{"counters": {...}, "histograms": {name: {"count",
+        "sum", "buckets"}}, "heartbeats": {name: age_seconds},
+        "groups": {group: provider()}}`` — keys sorted,
         values plain scalars. ``census --stats-json`` prints exactly
         this.
         """
@@ -189,10 +163,6 @@ class MetricsRegistry:
                 name: self._counters[name].value
                 for name in sorted(self._counters)
             },
-            "gauges": {
-                name: self._gauges[name].value
-                for name in sorted(self._gauges)
-            },
             "histograms": histograms,
             "heartbeats": {
                 name: round(self.heartbeat_age(name), 3)
@@ -210,7 +180,7 @@ class MetricsRegistry:
         Group providers render exactly like the server's gauge groups
         (``repro_<group>_<key>``, via
         :func:`repro.service.metrics.render_gauge_group`); native
-        counters/gauges render under ``repro_obs_*``; heartbeats render
+        counters render under ``repro_obs_*``; heartbeats render
         as ``repro_obs_heartbeat_age_seconds{name="..."}``. The server
         appends this to its ``/metrics`` payload, so the classic series
         stay bit-for-bit and the registry is a strict superset.
@@ -231,11 +201,6 @@ class MetricsRegistry:
             lines.append(f"# HELP {series} Observability counter ({name}).")
             lines.append(f"# TYPE {series} counter")
             lines.append(f"{series} {self._counters[name].value}")
-        for name in sorted(self._gauges):
-            series = f"repro_obs_{_sanitize(name)}"
-            lines.append(f"# HELP {series} Observability gauge ({name}).")
-            lines.append(f"# TYPE {series} gauge")
-            lines.append(f"{series} {_format_value(self._gauges[name].value)}")
         if self._heartbeats:
             series = "repro_obs_heartbeat_age_seconds"
             lines.append(
@@ -254,7 +219,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument, heartbeat, and group (test isolation)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         self._heartbeats.clear()
         self._groups.clear()

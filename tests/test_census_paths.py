@@ -5,14 +5,22 @@ A census runs three ways: the serial oracle
 (:func:`repro.engine.sharded_census`, behind :func:`random_census` and
 the plain ``repro-radio census``), and the durable work queue
 (:func:`repro.engine.distributed_census`, behind ``census --queue``),
-which is also the only way to resume one. These tests run one seeded
-population through all of them, and through every classifier
-algorithm, and resume a half-finished queue from the CLI.
+which is also the only way to resume one. The HTTP service answers the
+same questions one batch at a time, so its ``elect`` reports must add
+up to the same rows. These tests run one seeded population through all
+of them, and through every classifier algorithm, and resume a
+half-finished queue from the CLI.
 """
+
+import json
+import threading
+import urllib.request
 
 import pytest
 
 from repro.analysis.census import (
+    CensusResult,
+    CensusRow,
     census,
     group_by_n,
     random_census,
@@ -31,6 +39,7 @@ from repro.engine import (
     sharded_census,
 )
 from repro.reporting.tables import format_table
+from repro.service import config_to_json, make_server
 from repro.testing import random_census_configs
 
 #: every classifier algorithm (``batch`` only where numpy is importable)
@@ -52,6 +61,38 @@ def table_lines(text):
 def cli(capsys, *args):
     assert main([*CLI_OPTS, *args]) == 0
     return capsys.readouterr().out
+
+
+def served_census(configs):
+    """Census rows grouped by ``n``, rebuilt from a live service's answer
+    to one ``elect`` batch POST of ``configs``."""
+    server = make_server(port=0, quiet=True)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    batch = {"requests": [{**config_to_json(c), "mode": "elect"} for c in configs]}
+    try:
+        with urllib.request.urlopen(
+            f"http://{host}:{port}/classify",
+            data=json.dumps(batch).encode("utf-8"),
+            timeout=60,
+        ) as resp:
+            responses = json.loads(resp.read())["responses"]
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.classifier.close()
+        thread.join(timeout=5)
+    result = CensusResult()
+    for response in responses:
+        report = response["report"]
+        row = result.rows.setdefault(response["n"], CensusRow(group=response["n"]))
+        row.total += 1
+        row.feasible += int(report["feasible"])
+        row.iterations_sum += report["iterations"]
+        if report["feasible"]:
+            row.rounds_sum += report["rounds"]
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +127,9 @@ def test_every_census_path_gives_the_oracle_rows(
     runs["distributed x2"] = distributed_census(
         workload, str(tmp_path / "api.sqlite"), num_workers=2, **kw
     ).result
+    runs["HTTP service, one elect batch"] = served_census(
+        random_census_configs(N_VALUES, SPAN, P, SAMPLES, SEED)
+    )
     for algorithm in ALGORITHMS:
         runs[f"sharded, algorithm={algorithm}"] = sharded_census(
             workload, algorithm=algorithm, **kw

@@ -67,7 +67,6 @@ def test_engine_package_is_covered():
         "repro.engine.keys",
         "repro.engine.pipeline",
         "repro.engine.queue",
-        "repro.engine.scheduler",
         "repro.engine.workloads",
     }
 

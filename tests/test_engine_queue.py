@@ -1,6 +1,7 @@
-"""Work-queue and scheduler correctness: lease lifecycle, retry caps,
-yield-priority ranking, distributed-census equality, and the failure
-paths of the one worker and collect step, for both job kinds.
+"""Work-queue correctness: lease lifecycle, retry caps, lease order
+(largest cost first, ties by shard index), lease cost that does not
+grow with the queue, distributed-census equality, and the failure paths
+of the one worker and collect step, for both job kinds.
 
 The load-bearing properties: (1) a shard can be owned by at most one
 live lease, so no shard is double-classified; (2) a dead worker's lease
@@ -27,20 +28,15 @@ from repro.engine import (
     QueueError,
     RandomGnpWorkload,
     SequenceWorkload,
-    ShardCandidate,
     WorkQueue,
     collect_queue,
     create_census_queue,
     distributed_census,
-    expected_yield,
-    observed_miss_rate,
     queue_worker,
-    rank,
     sharded_census,
     workload_from_spec,
 )
 from repro.engine.queue import drain_with_local_workers
-from repro.engine.scheduler import MIN_MISS_RATE
 
 from conftest import random_config_batch
 
@@ -59,7 +55,6 @@ def make_queue(
         dict(meta),
         lease_ttl=lease_ttl,
         max_attempts=max_attempts,
-        now=1000.0,
     )
 
 
@@ -69,11 +64,39 @@ def make_queue(
 def test_lease_marks_shard_leased_and_cost_orders(tmp_path):
     q = make_queue(tmp_path)
     lease = q.lease("w1", now=1000.0)
-    # cold queue: the highest-cost shard (index 1, cost 20) leases first
+    # the highest-cost shard (index 1, cost 20) leases first
     assert lease.index == 1
     assert lease.attempt == 1
     counts = q.counts()
     assert counts["leased"] == 1 and counts["pending"] == 2
+    q.close()
+
+    # a queue with cost ties drains largest cost first, ties by index
+    costs = [3.0, 7.0, 3.0, 7.0, 1.0, 7.0]
+    tied = [(i, i, i + 1, cost) for i, cost in enumerate(costs)]
+    order = [1, 3, 5, 0, 2, 4]
+
+    def drain(queue, now):
+        leased = []
+        while (nxt := queue.lease("w2", now=now)) is not None:
+            assert queue.commit(nxt, [])
+            leased.append(nxt.index)
+        return leased
+
+    with WorkQueue.create(str(tmp_path / "tied.sqlite"), tied, dict(META)) as fresh:
+        assert drain(fresh, 1000.0) == order
+    # a shard sent back by fail and one reclaimed after its lease
+    # expired are leased again in that same order
+    with WorkQueue.create(
+        str(tmp_path / "retried.sqlite"), tied, dict(META), lease_ttl=10.0
+    ) as retried:
+        expired = retried.lease("w1", now=1000.0)
+        failed = retried.lease("w1", now=1000.0)
+        assert (expired.index, failed.index) == (1, 3)
+        assert retried.fail(failed, "boom")
+        assert drain(retried, 1020.0) == order
+        counts = retried.counts()
+        assert (counts["reclaimed"], counts["retried"]) == (1, 2)
 
 
 def test_heartbeat_extends_and_expiry_reclaims(tmp_path):
@@ -94,7 +117,7 @@ def test_heartbeat_extends_and_expiry_reclaims(tmp_path):
     assert q.counts()["reclaimed"] >= 1
     # the original owner lost the lease: heartbeat and commit both fail
     assert not q.heartbeat(lease, now=1031.0)
-    assert not q.commit(lease, [], now=1031.0)
+    assert not q.commit(lease, [])
 
 
 def test_stale_commit_rejected_retry_commit_wins(tmp_path):
@@ -102,12 +125,12 @@ def test_stale_commit_rejected_retry_commit_wins(tmp_path):
     stale = q.lease("w1", now=1000.0)
     retry = q.lease("w2", now=1010.0)  # reclaim + re-lease
     assert retry.index == stale.index
-    assert not q.commit(stale, [{"marker": "stale"}], now=1011.0)
-    assert q.commit(retry, [{"marker": "retry"}], now=1012.0)
+    assert not q.commit(stale, [{"marker": "stale"}])
+    assert q.commit(retry, [{"marker": "retry"}])
     results = {idx: rows for idx, rows, _ in q.results()}
     assert results[retry.index] == [{"marker": "retry"}]
     # committing an already-done shard is a no-op (idempotent merge)
-    assert not q.commit(retry, [{"marker": "again"}], now=1013.0)
+    assert not q.commit(retry, [{"marker": "again"}])
     results = {idx: rows for idx, rows, _ in q.results()}
     assert results[retry.index] == [{"marker": "retry"}]
 
@@ -148,14 +171,14 @@ def test_double_lease_exclusion_under_racing_workers(tmp_path):
 def test_retry_cap_marks_poison_shard_failed_without_stalling(tmp_path):
     q = make_queue(tmp_path, max_attempts=2)
     first = q.lease("w", now=1000.0)
-    assert q.fail(first, "boom", now=1001.0)
+    assert q.fail(first, "boom")
     assert q.counts()["failed"] == 0  # attempt 1 < cap: back to pending
     second = q.lease("w", now=1002.0)
     while second.index != first.index:  # drain until the retry comes up
         q.commit(second, [])
         second = q.lease("w", now=1002.0)
     assert second.attempt == 2
-    assert q.fail(second, "boom", now=1003.0)
+    assert q.fail(second, "boom")
     counts = q.counts()
     assert counts["failed"] == 1  # attempt 2 == cap: poison, permanent
     # the poison shard does not stall the rest of the run
@@ -171,7 +194,7 @@ def test_requeue_resets_leased_and_optionally_failed(tmp_path):
     q = make_queue(tmp_path, max_attempts=1)
     lease = q.lease("w", now=1000.0)
     failed = q.lease("w", now=1000.0)
-    q.fail(failed, "poison", now=1001.0)
+    q.fail(failed, "poison")
     assert q.requeue() == 1  # only the live lease
     assert q.counts()["failed"] == 1
     assert q.requeue(include_failed=True) == 1
@@ -182,17 +205,36 @@ def test_requeue_resets_leased_and_optionally_failed(tmp_path):
     assert again.attempt == 1
 
 
+def test_lease_cost_does_not_grow_with_the_queue(tmp_path):
+    """A lease reads one index entry, whatever the queue holds: draining
+    2,000 empty shards costs at most 4x per shard what draining 50 does
+    (a lease that scans every pending and committed shard grows ~25x)."""
+
+    def per_shard(n, run):
+        path = str(tmp_path / f"q{n}-{run}.sqlite")
+        shards = [(i, i, i + 1, float(i % 17)) for i in range(n)]
+        with WorkQueue.create(path, shards, dict(META)) as q:
+            t0 = time.perf_counter()
+            while (lease := q.lease("w")) is not None:
+                q.commit(lease, [], {"classified": 1, "cache_hits": 0})
+            return (time.perf_counter() - t0) / n
+
+    small = min(per_shard(50, run) for run in range(3))
+    large = min(per_shard(2000, run) for run in range(2))
+    assert large <= 4 * small, f"{large * 1e3:.3f} ms vs {small * 1e3:.3f} ms"
+
+
 # ----------------------------------------------------------------------
 # durability / restart
 # ----------------------------------------------------------------------
 def test_coordinator_restart_resumes_half_finished_queue(tmp_path):
     path = str(tmp_path / "resume.sqlite")
-    q = WorkQueue.create(path, SHARDS, dict(META), now=1000.0)
+    q = WorkQueue.create(path, SHARDS, dict(META))
     done = q.lease("w", now=1000.0)
-    q.commit(done, [{"x": 1}], now=1001.0)
+    q.commit(done, [{"x": 1}])
     q.close()
     # same meta: create() resumes the existing queue without re-enqueue
-    q2 = WorkQueue.create(path, SHARDS, dict(META), now=2000.0)
+    q2 = WorkQueue.create(path, SHARDS, dict(META))
     counts = q2.counts()
     assert counts["done"] == 1 and counts["pending"] == 2
     assert {idx for idx, _, _ in q2.results()} == {done.index}
@@ -244,6 +286,23 @@ def test_queue_status_refuses_a_file_that_is_not_a_queue(make, tmp_path):
     assert re.fullmatch(r"queue: .* is not a work queue \(.*\)", message)
 
 
+def test_a_queue_of_another_schema_is_refused(tmp_path):
+    from repro.cli import main
+
+    with make_queue(tmp_path) as q:
+        path = q.path
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema'")
+    conn.commit()
+    conn.close()
+    schema = "has schema 1, this build speaks 2"
+    with pytest.raises(QueueError, match=schema):
+        WorkQueue(path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["queue", "status", path])
+    assert schema in str(exit_.value.code)
+
+
 def test_a_worker_waits_for_the_tables_not_just_the_file(tmp_path):
     from repro.cli import main
 
@@ -252,87 +311,6 @@ def test_a_worker_waits_for_the_tables_not_just_the_file(tmp_path):
     with pytest.raises(SystemExit, match=r"no work queue at .* after 1\.0s"):
         main(["census", "--queue", path, "--role", "worker",
               "--queue-timeout", "1"])
-
-
-# ----------------------------------------------------------------------
-# scheduler policy
-# ----------------------------------------------------------------------
-def test_rank_orders_by_expected_yield_cold():
-    candidates = [
-        ShardCandidate(index=0, cost=1.0, enqueued_at=0.0),
-        ShardCandidate(index=1, cost=100.0, enqueued_at=0.0),
-        ShardCandidate(index=2, cost=10.0, enqueued_at=0.0),
-    ]
-    order = [c.index for c in rank(candidates, now=0.0, miss_rate=1.0)]
-    assert order == [1, 2, 0]
-
-
-def test_rank_ties_break_on_index():
-    candidates = [
-        ShardCandidate(index=i, cost=5.0, enqueued_at=0.0) for i in (3, 1, 2)
-    ]
-    order = [c.index for c in rank(candidates, now=0.0)]
-    assert order == [1, 2, 3]
-
-
-def test_aging_starved_shard_eventually_outranks():
-    """After the aging horizon, a starved cheap shard beats a fresh
-    expensive one — starvation-freedom."""
-    starved = ShardCandidate(index=0, cost=1.0, enqueued_at=0.0)
-    fresh = ShardCandidate(index=1, cost=1000.0, enqueued_at=400.0)
-    order = [
-        c.index
-        for c in rank([starved, fresh], now=401.0, aging_horizon=300.0)
-    ]
-    assert order == [0, 1]
-
-
-def test_warm_queue_converges_to_oldest_first():
-    """As the miss rate falls, age dominates cost: warm ≈ FIFO."""
-    old_cheap = ShardCandidate(index=0, cost=1.0, enqueued_at=0.0)
-    new_costly = ShardCandidate(index=1, cost=50.0, enqueued_at=100.0)
-    warm = [
-        c.index
-        for c in rank(
-            [old_cheap, new_costly],
-            now=200.0,
-            miss_rate=MIN_MISS_RATE,
-            aging_horizon=300.0,
-        )
-    ]
-    assert warm == [0, 1]
-    cold = [
-        c.index
-        for c in rank(
-            [old_cheap, new_costly],
-            now=200.0,
-            miss_rate=1.0,
-            aging_horizon=300.0,
-        )
-    ]
-    assert cold == [1, 0]
-
-
-def test_rank_rejects_bad_horizon_and_empty_pool():
-    assert rank([], now=0.0) == []
-    with pytest.raises(ValueError):
-        rank([ShardCandidate(0, 1.0, 0.0)], now=0.0, aging_horizon=0.0)
-
-
-def test_expected_yield_floor_and_observed_miss_rate():
-    assert expected_yield(100.0, 0.0) == pytest.approx(100.0 * MIN_MISS_RATE)
-    assert observed_miss_rate([]) is None
-    assert observed_miss_rate([{"classified": 0, "cache_hits": 0}]) is None
-    assert observed_miss_rate(
-        [
-            {"classified": 3, "cache_hits": 1, "deduped": 0},
-            {"classified": 1, "cache_hits": 2, "deduped": 1},
-        ]
-    ) == pytest.approx(4 / 8)
-    # malformed stats entries are skipped, not fatal
-    assert observed_miss_rate(
-        [{"classified": "x"}, {"classified": 2, "cache_hits": 2}]
-    ) == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +420,7 @@ def test_drain_guard_passes_the_worker_kwargs(tmp_path):
 def test_collect_strict_raises_on_failed_shards(tmp_path):
     q = make_queue(tmp_path, max_attempts=1, meta={"queue": "census"})
     lease = q.lease("w", now=1000.0)
-    q.fail(lease, "poison", now=1001.0)
+    q.fail(lease, "poison")
     while (nxt := q.lease("w", now=1002.0)) is not None:
         q.commit(nxt, [])
     with pytest.raises(QueueError, match="poison"):
@@ -622,27 +600,18 @@ def test_queue_status_names_the_job(job, tmp_path, capsys):
 # ----------------------------------------------------------------------
 # observability parity
 # ----------------------------------------------------------------------
-def test_queue_gauges_prometheus_parity(tmp_path):
-    """The queue's registry gauges render to Prometheus text bit-for-bit
-    consistent with ``obs.snapshot()`` and with the queue's own
-    ``counts()`` — one source of truth, three views."""
+def test_queue_counters_prometheus_parity(tmp_path):
+    """The queue's lease counter renders to Prometheus text equal to
+    ``obs.snapshot()`` — one registry, two views."""
     from repro import obs
     from repro.service.metrics import parse_prometheus_text
 
     q = make_queue(tmp_path)
     lease = q.lease("w", now=1000.0)
-    q.commit(lease, [{"g": 1}], now=1001.0)
+    q.commit(lease, [{"g": 1}])
     q.lease("w", now=1002.0)  # leave one shard leased
-    counts = q.counts()
     snap = obs.snapshot()
     parsed = parse_prometheus_text(obs.registry.render_prometheus())
-    for state in ("pending", "leased", "done", "failed"):
-        assert (
-            parsed[f"repro_obs_queue_{state}"]
-            == snap["gauges"][f"queue.{state}"]
-            == counts[state]
-        )
-    # lease traffic counters flow through the same registry
     assert parsed["repro_obs_queue_leases_total"] == snap["counters"][
         "queue.leases"
     ]

@@ -254,14 +254,12 @@ def test_registry_groups_equal_legacy_stats_dicts(tmp_path):
     assert "repro_cache_hits" in text
 
 
-def test_registry_counters_gauges_and_heartbeats():
+def test_registry_counters_and_heartbeats():
     obs.registry.inc("x.calls")
     obs.registry.inc("x.calls", 4)
-    obs.registry.set_gauge("x.depth", 2.5)
     obs.registry.heartbeat("loop")
     snap = obs.snapshot()
     assert snap["counters"] == {"x.calls": 5}
-    assert snap["gauges"] == {"x.depth": 2.5}
     assert snap["heartbeats"]["loop"] >= 0.0
     text = obs.render_prometheus()
     assert "repro_obs_x_calls_total 5" in text
