@@ -252,7 +252,7 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
         with WorkQueue(args.queue) as queue:
             counts = queue.counts()
         if args.stats_json:
-            _print_stats_json(queue_counts=counts)
+            _print_stats_json(queue=lambda: counts)
         else:
             print(
                 f"  queue: {counts['pending']} pending, "
@@ -298,7 +298,7 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
     with WorkQueue(args.queue) as queue:
         counts = queue.counts()
     if args.stats_json:
-        _print_stats_json(engine=run.stats.as_dict, queue_counts=counts)
+        _print_stats_json(engine=run.stats.as_dict, queue=lambda: counts)
         return 0
     result = run.result
     print(
@@ -322,24 +322,19 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_stats_json(engine=None, queue_counts=None) -> None:
+def _print_stats_json(**groups) -> None:
     """Emit ``obs.snapshot()`` as the sole stdout output (machine mode).
 
-    ``engine`` is an ``as_dict`` callable; ``queue_counts`` is a queue's
-    :meth:`~repro.engine.queue.WorkQueue.counts` dict — each becomes a
-    registry group in the snapshot.
+    Each keyword is a group provider (an ``as_dict``-style callable)
+    registered for the snapshot only, so scripts parse JSON instead of
+    scraping the human table.
     """
     import json as _json
 
     from . import obs
 
-    groups = []
-    if engine is not None:
-        obs.registry.register_group("engine", engine)
-        groups.append("engine")
-    if queue_counts is not None:
-        obs.registry.register_group("queue", lambda: queue_counts)
-        groups.append("queue")
+    for name, provider in groups.items():
+        obs.registry.register_group(name, provider)
     try:
         print(_json.dumps(obs.snapshot(), indent=2, sort_keys=True))
     finally:
@@ -403,26 +398,12 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise SystemExit(f"census: cache I/O failed: {exc}")
     result = run.result
     if args.stats_json:
-        # machine-readable mode: emit exactly obs.snapshot() (with this
-        # run's engine/cache counters registered as groups) as the only
-        # stdout output, so scripts parse JSON instead of scraping the
-        # human table
-        import json as _json
-
-        from . import obs
-
         if args.compact_cache:
             try:
                 cache.compact()
             except OSError as exc:
                 raise SystemExit(f"census: cache compaction failed: {exc}")
-        obs.registry.register_group("engine", run.stats.as_dict)
-        obs.registry.register_group("cache", cache.stats.as_dict)
-        try:
-            print(_json.dumps(obs.snapshot(), indent=2, sort_keys=True))
-        finally:
-            obs.registry.unregister_group("engine")
-            obs.registry.unregister_group("cache")
+        _print_stats_json(engine=run.stats.as_dict, cache=cache.stats.as_dict)
         return 0
     print(
         format_table(

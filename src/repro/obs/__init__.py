@@ -2,10 +2,11 @@
 
 ``repro.obs`` is the repo's zero-dependency observability layer:
 hierarchical trace spans with a validated JSONL run-event log
-(:mod:`~repro.obs.tracing`, :mod:`~repro.obs.events`), a process-wide
+(:mod:`~repro.obs.tracing`, :mod:`~repro.obs.events`), the
 counter/histogram registry that absorbs the legacy per-component
-stats surfaces and renders the same Prometheus text as the server
-(:mod:`~repro.obs.registry`), and a span-tree/hotspot summarizer
+stats surfaces and is the repo's one Prometheus text encoder and
+reader (:mod:`~repro.obs.registry`; the server's ``/metrics`` is two
+registries rendered), and a span-tree/hotspot summarizer
 behind ``repro-radio trace summarize`` (:mod:`~repro.obs.summary`).
 
 Design rule: **disabled is the default and costs one attribute
@@ -26,7 +27,12 @@ from .events import (
     validate_event,
     validate_events,
 )
-from .registry import Counter, MetricsRegistry
+from .registry import (
+    METRICS_CONTENT_TYPE,
+    Counter,
+    MetricsRegistry,
+    parse_prometheus_text,
+)
 from .runtime import (
     STATE,
     ObsState,
@@ -53,6 +59,7 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EventSchemaError",
     "Counter",
+    "METRICS_CONTENT_TYPE",
     "MetricsRegistry",
     "NOOP_SPAN",
     "ObsState",
@@ -67,6 +74,7 @@ __all__ = [
     "event",
     "flush",
     "iter_events",
+    "parse_prometheus_text",
     "read_events",
     "registry",
     "render_prometheus",

@@ -1,4 +1,4 @@
-"""Process-wide counter/histogram registry behind one snapshot.
+"""Counter/histogram registry behind one snapshot, and its Prometheus text.
 
 The repo grew several per-instance accounting surfaces —
 :class:`~repro.engine.cache.CacheStats`,
@@ -11,25 +11,31 @@ the numbers are always the instance's own — equality with the legacy
 surfaces is pinned by ``tests/test_obs.py``), while instrumented code
 paths increment flat counters directly.
 
-Rendering reuses :mod:`repro.service.metrics`'s Prometheus text
-encoder, so a CLI run (``census --stats-json`` /
-``trace summarize``) and the HTTP server's ``/metrics`` route export
-the exact same format — group gauges under ``repro_<group>_*`` (the
-server's existing names) and registry-native series under
-``repro_obs_*``.
+This is the repo's only Prometheus text encoder (and, in
+:func:`parse_prometheus_text`, its reader). The process registry
+(:data:`repro.obs.runtime.registry`) renders for ``census --stats-json``
+and ``trace summarize``; each HTTP server keeps a registry of its own
+with ``prefix="repro"`` for its request counts, and ``GET /metrics``
+is that registry's rendering followed by the process registry's.
+Group gauges render as ``repro_<group>_<key>``; native series carry
+the registry's prefix (``repro_obs_*`` for the process registry).
 
 Everything is stdlib-only. Counter updates are single ``int`` adds —
 atomic enough under the GIL for the threads involved (the service's
-event loop and its classification worker, main thread), same as the
-serving metrics.
+event loop and its classification worker, main thread).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Default histogram buckets (seconds) for registry histograms.
+#: Content-Type of a Prometheus text exposition (``GET /metrics``).
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Default histogram buckets (seconds): sub-millisecond warm service
+#: hits up to multi-second cold elects.
 DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
     5.0, 10.0,
@@ -39,6 +45,18 @@ DEFAULT_BUCKETS = (
 def _sanitize(name: str) -> str:
     """Dots (the registry's namespace separator) become underscores."""
     return name.replace(".", "_").replace("-", "_")
+
+
+def _format_value(value: object) -> str:
+    """Render one sample value the Prometheus way (ints stay ints)."""
+    if isinstance(value, int):  # bool included: True renders as 1
+        return str(int(value))
+    return repr(float(value))
+
+
+def _family(series: str, kind: str, help_text: str) -> List[str]:
+    """The ``# HELP``/``# TYPE`` pair that opens a series family."""
+    return [f"# HELP {series} {help_text}", f"# TYPE {series} {kind}"]
 
 
 class Counter:
@@ -55,48 +73,93 @@ class Counter:
         self.value += n
 
 
+class Histogram:
+    """A fixed-bucket histogram (cumulative ``le`` buckets on export).
+
+    ``counts`` holds one non-cumulative count per bucket plus a last
+    slot for observations above every bound (the ``+Inf`` bucket).
+    """
+
+    __slots__ = ("buckets", "counts", "count", "sum")
+
+    def __init__(self, buckets: Sequence[float]) -> None:
+        if not buckets or list(buckets) != sorted(buckets):
+            raise ValueError("buckets must be a non-empty ascending sequence")
+        self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
+        self.counts: List[int] = [0] * (len(self.buckets) + 1)
+        self.count = 0
+        self.sum = 0.0
+
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        self.count += 1
+        self.sum += value
+        self.counts[bisect_left(self.buckets, value)] += 1
+
+    def cumulative(self) -> List[Tuple[float, int]]:
+        """``(bound, observations <= bound)`` for each finite bucket."""
+        out, total = [], 0
+        for bound, n in zip(self.buckets, self.counts):
+            total += n
+            out.append((bound, total))
+        return out
+
+
 class MetricsRegistry:
     """Counters, histograms, heartbeats, and group providers.
 
     One module-level instance (:data:`repro.obs.runtime.registry`)
-    serves the whole process; tests build private ones. Names are
-    dotted (``engine.cache_hits``); creation is on first use.
+    serves the whole process; each HTTP server and each test builds
+    its own. Names are dotted (``engine.cache_hits``); creation is on
+    first use. ``prefix`` starts the names of the native series: a
+    counter renders as ``<prefix>_<name>_total``, a histogram as
+    ``<prefix>_<name>_bucket|sum|count`` and heartbeats as
+    ``<prefix>_heartbeat_age_seconds``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, prefix: str = "repro_obs") -> None:
+        self.prefix = prefix
         self._counters: "Dict[str, Counter]" = {}
-        self._histograms: Dict[str, object] = {}
+        self._histograms: "Dict[str, Histogram]" = {}
         self._heartbeats: Dict[str, float] = {}
         self._groups: "Dict[str, Callable[[], Dict]]" = {}
 
     # ------------------------------------------------------------------
     # native instruments
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """The counter named ``name``, created at zero on first use."""
+    def counter(self, name: str, /, **labels: object) -> Counter:
+        """The counter named ``name``, created at zero on first use.
+
+        Each label set is a counter of its own, keyed
+        ``name{code="200"}``; the label sets of one name render as one
+        family. ``name`` is positional-only, so a label may be called
+        ``name``.
+        """
+        if labels:
+            name += "{" + ",".join(
+                f'{k}="{v}"' for k, v in sorted(labels.items())
+            ) + "}"
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
 
     def inc(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        self.counter(name).inc(n)
+        """Increment the unlabeled counter ``name`` by ``n``."""
+        c = self._counters.get(name)
+        if c is None:
+            c = self.counter(name)
+        c.value += n
 
-    def histogram(self, name: str, buckets: Optional[Sequence[float]] = None):
-        """The histogram named ``name`` (reuses the service encoder's
-        :class:`~repro.service.metrics.Histogram`); bucket bounds are
-        fixed at first use."""
+    def histogram(
+        self, name: str, buckets: Optional[Sequence[float]] = None
+    ) -> Histogram:
+        """The histogram named ``name``; bucket bounds (default
+        :data:`DEFAULT_BUCKETS`) are fixed at first use."""
         h = self._histograms.get(name)
         if h is None:
-            # imported lazily: repro.obs must stay import-light so the
-            # engine/service import graph has no cycle through it
-            from ..service.metrics import Histogram
-
             h = self._histograms[name] = Histogram(
-                f"repro_obs_{_sanitize(name)}",
-                f"Observability histogram ({name}).",
-                tuple(buckets) if buckets else DEFAULT_BUCKETS,
+                DEFAULT_BUCKETS if buckets is None else buckets
             )
         return h
 
@@ -146,24 +209,19 @@ class MetricsRegistry:
         values plain scalars. ``census --stats-json`` prints exactly
         this.
         """
-        histograms = {}
-        for name in sorted(self._histograms):
-            h = self._histograms[name]
-            cumulative, counts = 0, {}
-            for bound, count in zip(h.buckets, h.counts):
-                cumulative += count
-                counts[repr(float(bound))] = cumulative
-            histograms[name] = {
-                "count": h.count,
-                "sum": round(h.sum, 9),
-                "buckets": counts,
-            }
         return {
             "counters": {
                 name: self._counters[name].value
                 for name in sorted(self._counters)
             },
-            "histograms": histograms,
+            "histograms": {
+                name: {
+                    "count": h.count,
+                    "sum": round(h.sum, 9),
+                    "buckets": {repr(b): n for b, n in h.cumulative()},
+                }
+                for name, h in sorted(self._histograms.items())
+            },
             "heartbeats": {
                 name: round(self.heartbeat_age(name), 3)
                 for name in sorted(self._heartbeats)
@@ -177,43 +235,45 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """The registry as Prometheus text exposition.
 
-        Group providers render exactly like the server's gauge groups
-        (``repro_<group>_<key>``, via
-        :func:`repro.service.metrics.render_gauge_group`); native
-        counters render under ``repro_obs_*``; heartbeats render
-        as ``repro_obs_heartbeat_age_seconds{name="..."}``. The server
-        appends this to its ``/metrics`` payload, so the classic series
-        stay bit-for-bit and the registry is a strict superset.
+        Each key of a group provider renders as the gauge
+        ``repro_<group>_<key>``, carrying exactly the provider's value;
+        the native series render under :attr:`prefix` (see the class
+        docstring), heartbeats as
+        ``<prefix>_heartbeat_age_seconds{name="..."}``.
         """
-        from ..service.metrics import _format_value, render_gauge_group
-
         lines: List[str] = []
         for group, provider in sorted(self._groups.items()):
-            lines.extend(
-                render_gauge_group(
-                    f"repro_{_sanitize(group)}",
-                    provider(),
-                    f"Observability group counter ({group})",
-                )
+            for key, value in provider().items():
+                series = f"repro_{_sanitize(group)}_{key}"
+                lines += _family(series, "gauge", f"{group} counter ({key}).")
+                lines.append(f"{series} {_format_value(value)}")
+        families: "Dict[str, List[Counter]]" = {}
+        for key in sorted(self._counters):
+            families.setdefault(key.partition("{")[0], []).append(
+                self._counters[key]
             )
-        for name in sorted(self._counters):
-            series = f"repro_obs_{_sanitize(name)}_total"
-            lines.append(f"# HELP {series} Observability counter ({name}).")
-            lines.append(f"# TYPE {series} counter")
-            lines.append(f"{series} {self._counters[name].value}")
+        for family, counters in sorted(families.items()):
+            series = f"{self.prefix}_{_sanitize(family)}_total"
+            lines += _family(series, "counter", f"Counter ({family}).")
+            for c in counters:
+                lines.append(f"{series}{c.name[len(family):]} {c.value}")
         if self._heartbeats:
-            series = "repro_obs_heartbeat_age_seconds"
-            lines.append(
-                f"# HELP {series} Seconds since a component's last heartbeat."
+            series = f"{self.prefix}_heartbeat_age_seconds"
+            lines += _family(
+                series, "gauge", "Seconds since a component's last heartbeat."
             )
-            lines.append(f"# TYPE {series} gauge")
             for name in sorted(self._heartbeats):
                 age = self.heartbeat_age(name)
-                lines.append(
-                    f'{series}{{name="{name}"}} {_format_value(age)}'
-                )
-        for name in sorted(self._histograms):
-            lines.extend(self._histograms[name].render())
+                lines.append(f'{series}{{name="{name}"}} {_format_value(age)}')
+        for name, h in sorted(self._histograms.items()):
+            series = f"{self.prefix}_{_sanitize(name)}"
+            lines += _family(series, "histogram", f"Histogram ({name}).")
+            for bound, n in h.cumulative():
+                le = _format_value(bound)
+                lines.append(f'{series}_bucket{{le="{le}"}} {n}')
+            lines.append(f'{series}_bucket{{le="+Inf"}} {h.count}')
+            lines.append(f"{series}_sum {_format_value(h.sum)}")
+            lines.append(f"{series}_count {h.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
@@ -222,3 +282,25 @@ class MetricsRegistry:
         self._histograms.clear()
         self._heartbeats.clear()
         self._groups.clear()
+
+
+def parse_prometheus_text(text: str) -> Dict[str, float]:
+    """Parse a Prometheus text exposition into ``{series: value}``.
+
+    The key is the sample name including its label set verbatim
+    (e.g. ``repro_http_responses_total{code="200"}``). Comment and
+    blank lines are skipped; malformed sample lines raise
+    ``ValueError``. This is the reading half of
+    :meth:`MetricsRegistry.render_prometheus` — handy for tests and
+    scripts, not a full client library.
+    """
+    out: Dict[str, float] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.rpartition(" ")
+        if not name:
+            raise ValueError(f"malformed metrics line: {line!r}")
+        out[name] = float(value)
+    return out

@@ -19,9 +19,8 @@ Three modules:
   :class:`~repro.service.batcher.BatchClassifier` facade;
 * :mod:`repro.service.server` — the pure-asyncio HTTP endpoint behind
   ``repro-radio serve`` (connection limits, per-request deadlines,
-  429 admission control, graceful drain);
-* :mod:`repro.service.metrics` — Prometheus text exposition for
-  ``GET /metrics`` (counters + latency/batch-size histograms).
+  429 admission control, graceful drain, ``GET /metrics`` rendered from
+  :class:`repro.obs.MetricsRegistry`).
 
 Quickstart::
 
@@ -36,6 +35,7 @@ See ``docs/service.md`` for the wire format and batching semantics, and
 ``docs/api.md`` for the curated API reference.
 """
 
+from ..obs.registry import METRICS_CONTENT_TYPE, parse_prometheus_text
 from .batcher import (
     BatchClassifier,
     ServiceClosedError,
@@ -43,11 +43,6 @@ from .batcher import (
     ServiceStats,
     ServiceUnresponsiveError,
     Ticket,
-)
-from .metrics import (
-    METRICS_CONTENT_TYPE,
-    ServiceMetrics,
-    parse_prometheus_text,
 )
 from .schema import (
     MODES,
@@ -78,7 +73,6 @@ __all__ = [
     "MODES",
     "RequestError",
     "ServiceClosedError",
-    "ServiceMetrics",
     "ServiceRequest",
     "ServiceSaturatedError",
     "ServiceStats",

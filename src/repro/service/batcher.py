@@ -559,8 +559,8 @@ class BatchClassifier:
         :func:`repro.engine.batch_records`).
     on_batch:
         optional observer called with each executed batch's size (on
-        the loop thread) — the server wires its batch-size histogram
-        here (:mod:`repro.service.metrics`).
+        the loop thread). A server left with ``None`` here wires in the
+        ``service.batch_size`` histogram of its own registry.
     """
 
     def __init__(

@@ -24,10 +24,11 @@ wedge the accept loop. Saturation and slowness have *defined* behavior:
 * **Graceful drain** — shutdown stops accepting, cuts idle keep-alive
   connections, and gives in-flight requests ``drain_timeout`` seconds
   to complete before cancelling stragglers; no response is dropped.
-* **Observability** — ``GET /metrics`` exports the classifier's
-  counters plus latency/batch-size histograms in Prometheus text
-  format (:mod:`repro.service.metrics`), and every request emits one
-  structured JSON log line to stderr (suppressed by ``quiet``).
+* **Observability** — ``GET /metrics`` renders the server's own
+  :class:`~repro.obs.registry.MetricsRegistry` (HTTP counters, the
+  classifier's counter groups, latency/batch-size histograms) and then
+  the process registry in Prometheus text format, and every request
+  emits one structured JSON log line to stderr (suppressed by ``quiet``).
 
 Routes:
 
@@ -59,6 +60,7 @@ import time
 from concurrent.futures import CancelledError as FuturesCancelledError
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.registry import METRICS_CONTENT_TYPE, MetricsRegistry
 from ..obs.runtime import STATE as _OBS
 from ..obs.runtime import current_span_id as _obs_current_span_id
 from ..obs.runtime import event as _obs_event
@@ -71,7 +73,6 @@ from .batcher import (
     Ticket,
     keys_digest,
 )
-from .metrics import METRICS_CONTENT_TYPE, ServiceMetrics
 from .schema import (
     MODES,
     RequestError,
@@ -96,6 +97,10 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 
 #: Default graceful-drain budget, seconds (``--drain-timeout``).
 DEFAULT_DRAIN_TIMEOUT = 5.0
+
+#: Buckets of the ``service.batch_size`` histogram: powers of two up to
+#: the usual ``max_batch`` ceiling.
+BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 _REASONS = {
     200: "OK",
@@ -142,6 +147,9 @@ class ClassificationServer:
     either way. :meth:`server_close` releases the listening socket. The
     surface deliberately mirrors ``socketserver``, so callers written
     against it work unchanged.
+
+    :attr:`metrics` is a ``MetricsRegistry(prefix="repro")`` that
+    belongs to this server alone, so its counts start at zero.
     """
 
     def __init__(
@@ -153,7 +161,6 @@ class ClassificationServer:
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-        metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         if max_connections < 1:
             raise ValueError("max_connections must be >= 1")
@@ -166,11 +173,22 @@ class ClassificationServer:
         self.max_connections = max_connections
         self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = m = MetricsRegistry(prefix="repro")
+        m.register_group("service", classifier.stats.as_dict)
+        m.register_group("engine", classifier.stats.engine.as_dict)
+        cache = classifier.cache
+        m.register_group(
+            "cache", lambda: dict(cache.stats.as_dict(), entries=len(cache))
+        )
+        for name in ("requests", "rejected_saturated",
+                     "rejected_connections", "deadline_hits"):
+            m.counter(f"http.{name}")  # listed from the first scrape on
+        m.histogram("http.request_latency_seconds")
+        batch_sizes = m.histogram("service.batch_size", BATCH_SIZE_BUCKETS)
         # batch sizes are recorded on the loop thread; attach the
         # histogram unless the caller wired an observer already
         if classifier.on_batch is None:
-            classifier.on_batch = self.metrics.observe_batch
+            classifier.on_batch = batch_sizes.observe
         self._connections: Dict["asyncio.Task", _ConnState] = {}
         self._draining = False
         self._loop = classifier._loop
@@ -308,7 +326,7 @@ class ClassificationServer:
             if self._draining:
                 return
             if len(self._connections) > self.max_connections:
-                self.metrics.rejected_connections += 1
+                self.metrics.inc("http.rejected_connections")
                 await self._respond(
                     writer,
                     state,
@@ -347,7 +365,7 @@ class ClassificationServer:
                 # slow-loris head, or an idle keep-alive connection: an
                 # explicit 408-and-close either way
                 state.busy = True
-                self.metrics.deadline_hits += 1
+                self.metrics.inc("http.deadline_hits")
                 await self._respond(
                     writer,
                     state,
@@ -397,7 +415,7 @@ class ClassificationServer:
                 # (408). During classification: the service is (503) —
                 # and the awaited tickets were cancelled by the
                 # wait_for unwind, freeing their batcher slots.
-                self.metrics.deadline_hits += 1
+                self.metrics.inc("http.deadline_hits")
                 slow_read = phase["name"] == "read"
                 await self._respond(
                     writer,
@@ -478,7 +496,12 @@ class ClassificationServer:
         elapsed = (
             self._loop.time() - started if started is not None else 0.0
         )
-        self.metrics.observe_request(status, elapsed)
+        m = self.metrics
+        m.inc("http.requests")
+        m.counter("http.responses", code=status).inc()
+        m.observe("http.request_latency_seconds", elapsed)
+        if status == 429:
+            m.inc("http.rejected_saturated")
         self._log(
             event="request",
             client=state.peer,
@@ -536,11 +559,11 @@ class ClassificationServer:
             if path == "/stats":
                 return await respond(200, self._stats_payload())
             if path == "/metrics":
-                # the classic exposition first (bit-for-bit what PR 6
-                # served), then the process-wide obs registry appended —
-                # the payload stays a strict superset of the old one
-                text = self.metrics.render(self.classifier.meta())
-                text += _registry.render_prometheus()
+                # this server's series, then the process registry's
+                text = (
+                    self.metrics.render_prometheus()
+                    + _registry.render_prometheus()
+                )
                 return await respond(
                     200, None, content=text.encode("utf-8"),
                     content_type=METRICS_CONTENT_TYPE,
@@ -722,7 +745,6 @@ def make_server(
     max_connections: int = DEFAULT_MAX_CONNECTIONS,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-    metrics: Optional[ServiceMetrics] = None,
 ) -> ClassificationServer:
     """Bind a :class:`ClassificationServer` (``port=0`` picks a free port).
 
@@ -738,7 +760,6 @@ def make_server(
         max_connections=max_connections,
         request_timeout=request_timeout,
         drain_timeout=drain_timeout,
-        metrics=metrics,
     )
 
 

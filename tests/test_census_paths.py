@@ -7,9 +7,11 @@ the plain ``repro-radio census``), and the durable work queue
 (:func:`repro.engine.distributed_census`, behind ``census --queue``),
 which is also the only way to resume one. The HTTP service answers the
 same questions one batch at a time, so its ``elect`` reports must add
-up to the same rows. These tests run one seeded population through all
+up to the same rows. These tests run two seeded populations through all
 of them, and through every classifier algorithm, and resume a
-half-finished queue from the CLI.
+half-finished queue from the CLI: one whose members are all feasible,
+and one with infeasible members (``null`` rounds) and members that
+take more than one iteration.
 """
 
 import json
@@ -45,12 +47,18 @@ from repro.testing import random_census_configs
 #: every classifier algorithm (``batch`` only where numpy is importable)
 ALGORITHMS = [a for a in ALGORITHM_NAMES if a != "batch" or HAVE_NUMPY]
 
-#: one seeded population, as the CLI spells it and as the API takes it
-N_VALUES, SPAN, P, SAMPLES, SEED = [5, 6, 7], 2, 0.3, 8, 11
-CLI_OPTS = [
-    "census", "--n", "5,6,7", "--span", "2", "--p", "0.3",
-    "--samples", "8", "--seed", "11", "--rounds",
-]
+#: seeded populations ``(n values, span, p, samples, seed)`` and their
+#: oracle rows ``(n, total, feasible, iterations_sum, rounds_sum)``
+POPULATIONS = {
+    "all-feasible": (
+        ([5, 6, 7], 2, 0.3, 8, 11),
+        [(5, 8, 8, 8, 64), (6, 8, 8, 8, 64), (7, 8, 8, 8, 64)],
+    ),
+    "some-infeasible": (
+        ([3, 4, 5, 6], 1, 0.5, 8, 11),
+        [(3, 8, 6, 8, 30), (4, 8, 8, 8, 40), (5, 8, 6, 9, 30), (6, 8, 7, 10, 45)],
+    ),
+}
 
 
 def table_lines(text):
@@ -58,8 +66,8 @@ def table_lines(text):
     return [line for line in text.splitlines() if line.startswith(("|", "+"))]
 
 
-def cli(capsys, *args):
-    assert main([*CLI_OPTS, *args]) == 0
+def cli(capsys, opts, *args):
+    assert main([*opts, *args]) == 0
     return capsys.readouterr().out
 
 
@@ -95,29 +103,48 @@ def served_census(configs):
     return result
 
 
-@pytest.fixture(scope="module")
-def workload():
-    return random_census_workload(N_VALUES, SPAN, P, SAMPLES, SEED)
+@pytest.fixture(scope="module", params=list(POPULATIONS))
+def population(request):
+    return POPULATIONS[request.param][0]
 
 
 @pytest.fixture(scope="module")
-def oracle():
+def cli_opts(population):
+    """The population as ``repro-radio census`` spells it."""
+    ns, span, p, samples, seed = population
+    return [
+        "census", "--n", ",".join(map(str, ns)), "--span", str(span),
+        "--p", str(p), "--samples", str(samples), "--seed", str(seed),
+        "--rounds",
+    ]
+
+
+@pytest.fixture(scope="module")
+def workload(population):
+    return random_census_workload(*population)
+
+
+@pytest.fixture(scope="module")
+def oracle(population):
     return census(
-        random_census_configs(N_VALUES, SPAN, P, SAMPLES, SEED),
+        random_census_configs(*population),
         group_by=group_by_n,
         measure_rounds=True,
     )
 
 
 def test_every_census_path_gives_the_oracle_rows(
-    workload, oracle, tmp_path, capsys
+    population, cli_opts, workload, oracle, tmp_path, capsys
 ):
+    pinned = next(rows for pop, rows in POPULATIONS.values() if pop == population)
+    assert [
+        (r.group, r.total, r.feasible, r.iterations_sum, r.rounds_sum)
+        for r in oracle.rows.values()
+    ] == pinned
     kw = dict(group_by=group_by_n, measure_rounds=True)
     cache = ResultCache()
     runs = {
-        "random_census": random_census(
-            N_VALUES, SPAN, P, SAMPLES, SEED, measure_rounds=True
-        ),
+        "random_census": random_census(*population, measure_rounds=True),
         "sharded x1": sharded_census(workload, cache=cache, **kw).result,
         "sharded x5": sharded_census(workload, num_shards=5, **kw).result,
     }
@@ -128,7 +155,7 @@ def test_every_census_path_gives_the_oracle_rows(
         workload, str(tmp_path / "api.sqlite"), num_workers=2, **kw
     ).result
     runs["HTTP service, one elect batch"] = served_census(
-        random_census_configs(N_VALUES, SPAN, P, SAMPLES, SEED)
+        random_census_configs(*population)
     )
     for algorithm in ALGORITHMS:
         runs[f"sharded, algorithm={algorithm}"] = sharded_census(
@@ -138,15 +165,19 @@ def test_every_census_path_gives_the_oracle_rows(
         assert result.rows == oracle.rows, name
 
     expected = table_lines(format_table(oracle.TABLE_HEADERS, oracle.as_table()))
-    assert table_lines(cli(capsys)) == expected
-    queued = cli(capsys, "--queue", str(tmp_path / "cli.sqlite"), "--workers", "2")
+    assert table_lines(cli(capsys, cli_opts)) == expected
+    queued = cli(
+        capsys, cli_opts, "--queue", str(tmp_path / "cli.sqlite"), "--workers", "2"
+    )
     assert table_lines(queued) == expected
     for algorithm in ALGORITHMS:
-        out = cli(capsys, "--algorithm", algorithm)
+        out = cli(capsys, cli_opts, "--algorithm", algorithm)
         assert table_lines(out) == expected, algorithm
 
 
-def test_cli_queue_resumes_a_half_finished_census(workload, tmp_path, capsys):
+def test_cli_queue_resumes_a_half_finished_census(
+    cli_opts, workload, tmp_path, capsys
+):
     path = str(tmp_path / "census.sqlite")
     create_census_queue(
         path, workload, num_shards=4, measure_rounds=True, group_by=group_by_n
@@ -155,8 +186,8 @@ def test_cli_queue_resumes_a_half_finished_census(workload, tmp_path, capsys):
     with WorkQueue(path) as queue:
         assert queue.counts()["done"] == 1
 
-    resumed = cli(capsys, "--shards", "4", "--queue", path)
-    assert table_lines(resumed) == table_lines(cli(capsys))
+    resumed = cli(capsys, cli_opts, "--shards", "4", "--queue", path)
+    assert table_lines(resumed) == table_lines(cli(capsys, cli_opts))
     with WorkQueue(path) as queue:
         counts = queue.counts()
     assert counts["done"] == counts["total"] == 4
@@ -177,12 +208,12 @@ def test_cli_worker_role_drains_a_census_queue(
     assert collect_queue(path, wait=False).result.rows == oracle.rows
 
 
-def test_workers_require_a_queue():
+def test_workers_require_a_queue(cli_opts):
     with pytest.raises(SystemExit, match="--workers requires --queue"):
-        main([*CLI_OPTS, "--workers", "2"])
+        main([*cli_opts, "--workers", "2"])
 
 
-def test_checkpoint_is_not_an_option(capsys):
+def test_checkpoint_is_not_an_option(cli_opts, capsys):
     with pytest.raises(SystemExit):
-        build_parser().parse_args([*CLI_OPTS, "--checkpoint", "ckpt"])
+        build_parser().parse_args([*cli_opts, "--checkpoint", "ckpt"])
     assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err

@@ -129,6 +129,29 @@ class TestCensus:
         keys = [json.loads(line)["key"] for line in lines]
         assert len(keys) == len(set(keys))  # no superseded duplicates left
 
+    @pytest.mark.parametrize("mode", ["in-process", "queue"])
+    def test_stats_json_prints_one_snapshot(self, mode, tmp_path, capsys):
+        from repro import obs
+
+        if mode == "in-process":
+            extra = ["--rounds", "--cache", str(tmp_path / "census.jsonl")]
+            groups = ["cache", "engine"]
+        else:
+            extra = ["--queue", str(tmp_path / "q.sqlite"), "--workers", "2"]
+            groups = ["engine", "queue"]
+        registered = obs.snapshot()["groups"]
+        assert main(
+            ["census", "--n", "4,5", "--span", "1", "--samples", "3",
+             "--seed", "2", "--stats-json", *extra]
+        ) == 0
+        snap = json.loads(capsys.readouterr().out)  # one document, no more
+        assert sorted(snap["groups"]) == groups
+        assert snap["groups"]["engine"]["total_configs"] == 6
+        if mode == "queue":
+            queue = snap["groups"]["queue"]
+            assert queue["done"] == queue["total"]
+        assert obs.snapshot()["groups"] == registered  # groups unregistered
+
     def test_compact_cache_requires_cache(self):
         with pytest.raises(SystemExit):
             main(["census", "--n", "4", "--samples", "2", "--compact-cache"])

@@ -218,7 +218,6 @@ def test_service_package_is_covered():
     assert service_modules >= {
         "repro.service",
         "repro.service.batcher",
-        "repro.service.metrics",
         "repro.service.schema",
         "repro.service.server",
     }

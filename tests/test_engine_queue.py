@@ -604,7 +604,7 @@ def test_queue_counters_prometheus_parity(tmp_path):
     """The queue's lease counter renders to Prometheus text equal to
     ``obs.snapshot()`` — one registry, two views."""
     from repro import obs
-    from repro.service.metrics import parse_prometheus_text
+    from repro.obs import parse_prometheus_text
 
     q = make_queue(tmp_path)
     lease = q.lease("w", now=1000.0)

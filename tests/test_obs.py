@@ -12,6 +12,8 @@ traced census drained by forked queue workers.
 
 import json
 import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 
@@ -258,12 +260,47 @@ def test_registry_counters_and_heartbeats():
     obs.registry.inc("x.calls")
     obs.registry.inc("x.calls", 4)
     obs.registry.heartbeat("loop")
+    # labeled counters: two label sets of one family
+    obs.registry.counter("x.responses", code=200).inc(2)
+    obs.registry.counter("x.responses", code=400).inc()
     snap = obs.snapshot()
-    assert snap["counters"] == {"x.calls": 5}
+    assert snap["counters"] == {
+        "x.calls": 5,
+        'x.responses{code="200"}': 2,
+        'x.responses{code="400"}': 1,
+    }
     assert snap["heartbeats"]["loop"] >= 0.0
     text = obs.render_prometheus()
     assert "repro_obs_x_calls_total 5" in text
     assert 'repro_obs_heartbeat_age_seconds{name="loop"}' in text
+    assert text.count("# TYPE repro_obs_x_responses_total counter") == 1
+    assert 'repro_obs_x_responses_total{code="200"} 2\n' in text
+    assert 'repro_obs_x_responses_total{code="400"} 1\n' in text
+
+
+def test_registry_loads_no_service_module():
+    """The registry is the Prometheus encoder on its own: using every
+    instrument and both exports in a fresh process imports no
+    ``repro.service`` module."""
+    code = (
+        "import sys\n"
+        "from repro.obs import MetricsRegistry, parse_prometheus_text\n"
+        "r = MetricsRegistry()\n"
+        "r.register_group('g', lambda: {'a': 1})\n"
+        "r.inc('c')\n"
+        "r.heartbeat('h')\n"
+        "r.observe('lat', 0.01)\n"
+        "parse_prometheus_text(r.render_prometheus())\n"
+        "r.snapshot()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -99,7 +99,7 @@ class TestDeadlines:
             sock.close()
             assert "408" in status_line
             assert elapsed < 5
-            assert server.metrics.deadline_hits >= 1
+            assert server.metrics.counter("http.deadline_hits").value >= 1
             status, body, _ = post(server, {"line": [0, 1, 0]})
             assert status == 200 and body["ok"]
 
@@ -139,7 +139,7 @@ class TestDeadlines:
             assert status == 503
             assert "deadline" in body["error"]
             assert time.monotonic() - started < 2
-            assert server.metrics.deadline_hits >= 1
+            assert server.metrics.counter("http.deadline_hits").value >= 1
             # release the blocker and observe the cancelled item being
             # dropped, not classified
             held_classification.release()
@@ -216,7 +216,7 @@ class TestSaturation:
             assert retry_after >= 1
             assert body["retry_after"] == retry_after
             assert server.classifier.stats.rejected >= 8
-            assert server.metrics.rejected_saturated >= 1
+            assert server.metrics.counter("http.rejected_saturated").value >= 1
             # zero hung connections, zero leaked slots: the very next
             # request classifies normally
             status, body, _ = post(server, {"line": [0, 1, 0]})
@@ -250,7 +250,7 @@ class TestConnectionLimit:
             status_line, _ = read_response_head(probe)
             probe.close()
             assert "503" in status_line
-            assert server.metrics.rejected_connections >= 1
+            assert server.metrics.counter("http.rejected_connections").value >= 1
             parked.close()
             deadline = time.monotonic() + 5
             while server.connection_count > 0 and time.monotonic() < deadline:

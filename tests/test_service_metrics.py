@@ -1,10 +1,12 @@
 """/metrics correctness: Prometheus text format and counter fidelity.
 
 The exposition is pinned two ways: an *independent* parser written here
-(so the library's own :func:`repro.service.parse_prometheus_text` is
+(so the library's own :func:`repro.obs.parse_prometheus_text` is
 not grading its own homework) checks the text format, and the
 ``repro_service_*`` gauges are compared bit-for-bit against
-``ServiceStats.as_dict()`` after a scripted request sequence.
+``ServiceStats.as_dict()`` after a scripted request sequence. The
+encoder itself is :class:`repro.obs.MetricsRegistry`; ``TestUnits``
+drives it without a server.
 """
 
 import json
@@ -14,14 +16,8 @@ import urllib.request
 
 import pytest
 
-from repro.service import (
-    METRICS_CONTENT_TYPE,
-    BatchClassifier,
-    ServiceMetrics,
-    make_server,
-    parse_prometheus_text,
-)
-from repro.service.metrics import Histogram, render_gauge_group
+from repro.obs import MetricsRegistry, parse_prometheus_text
+from repro.service import METRICS_CONTENT_TYPE, BatchClassifier, make_server
 
 
 def independent_parse(text):
@@ -87,24 +83,32 @@ class TestExposition:
         assert status == 200
         assert headers["Content-Type"] == METRICS_CONTENT_TYPE
         samples = independent_parse(text)
-        assert samples  # something was exported
-        # every series the contract names is present
+        # every family the server's registry renders, with its type
+        families = {
+            "repro_http_requests_total": "counter",
+            "repro_http_responses_total": "counter",
+            "repro_http_rejected_saturated_total": "counter",
+            "repro_http_rejected_connections_total": "counter",
+            "repro_http_deadline_hits_total": "counter",
+            "repro_http_request_latency_seconds": "histogram",
+            "repro_service_batch_size": "histogram",
+        }
+        for group, stats in server.classifier.meta().items():
+            for key in stats:
+                families[f"repro_{group}_{key}"] = "gauge"
+        for family, kind in families.items():
+            assert f"# TYPE {family} {kind}" in text, family
+            assert any(
+                name.partition("{")[0] in (family, f"{family}_count")
+                for name in samples
+            ), f"no samples for {family}"
         for name in (
-            "repro_http_requests_total",
-            "repro_http_rejected_saturated_total",
-            "repro_http_rejected_connections_total",
-            "repro_http_deadline_hits_total",
-            "repro_http_request_latency_seconds_count",
+            'repro_http_responses_total{code="200"}',
+            'repro_http_responses_total{code="400"}',
             'repro_http_request_latency_seconds_bucket{le="+Inf"}',
             "repro_service_batch_size_count",
-            "repro_service_submitted",
-            "repro_engine_classified",
-            "repro_cache_entries",
         ):
             assert name in samples, f"missing series {name}"
-        # HELP/TYPE comments precede every sample family
-        assert "# TYPE repro_http_requests_total counter" in text
-        assert "# TYPE repro_http_request_latency_seconds histogram" in text
 
     def test_library_parser_agrees_with_independent_parser(self, served):
         server, base = served
@@ -187,36 +191,33 @@ class TestExposition:
 
 class TestUnits:
     def test_histogram_rejects_bad_buckets(self):
+        registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            Histogram("h", "help", [])
+            registry.histogram("h", [])
         with pytest.raises(ValueError):
-            Histogram("h", "help", [2.0, 1.0])
+            registry.histogram("h", [2.0, 1.0])
 
     def test_histogram_observe_and_render(self):
-        h = Histogram("lat", "help", [0.1, 1.0])
-        for value in (0.05, 0.5, 0.5, 5.0):
-            h.observe(value)
-        rendered = "\n".join(h.render())
-        samples = independent_parse(rendered)
-        assert samples['lat_bucket{le="0.1"}'] == 1
-        assert samples['lat_bucket{le="1.0"}'] == 3  # cumulative
-        assert samples['lat_bucket{le="+Inf"}'] == 4
-        assert samples["lat_count"] == 4
-        assert samples["lat_sum"] == pytest.approx(6.05)
+        registry = MetricsRegistry(prefix="p")
+        for value in (0.05, 0.1, 0.5, 5.0):
+            registry.observe("lat", value, [0.1, 1.0])
+        text = registry.render_prometheus()
+        assert "# TYPE p_lat histogram" in text
+        samples = independent_parse(text)
+        assert samples['p_lat_bucket{le="0.1"}'] == 2  # le: bound included
+        assert samples['p_lat_bucket{le="1.0"}'] == 3  # cumulative
+        assert samples['p_lat_bucket{le="+Inf"}'] == 4
+        assert samples["p_lat_count"] == 4
+        assert samples["p_lat_sum"] == pytest.approx(5.65)
 
     def test_gauge_group_is_verbatim(self):
-        lines = render_gauge_group("p", {"a": 3, "rate": 0.25}, "help")
-        samples = independent_parse("\n".join(lines))
-        assert samples == {"p_a": 3.0, "p_rate": 0.25}
-
-    def test_service_metrics_renders_without_meta(self):
-        m = ServiceMetrics()
-        m.observe_request(200, 0.01)
-        m.observe_batch(4)
-        samples = independent_parse(m.render())
-        assert samples["repro_http_requests_total"] == 1
-        assert samples["repro_service_batch_size_count"] == 1
-        assert "repro_service_submitted" not in samples  # no meta given
+        registry = MetricsRegistry(prefix="p")
+        registry.register_group("g", lambda: {"a": 3, "rate": 0.25})
+        text = registry.render_prometheus()
+        assert "# TYPE repro_g_a gauge" in text
+        assert "repro_g_a 3\n" in text  # ints stay ints
+        samples = independent_parse(text)
+        assert samples == {"repro_g_a": 3.0, "repro_g_rate": 0.25}
 
     def test_parse_rejects_malformed_sample(self):
         with pytest.raises(ValueError):
