@@ -15,10 +15,10 @@ adversarial robustness campaigns with replayable bundles).
     repro-radio classify --family hm:3
     repro-radio elect --family gm:2 --verbose
     repro-radio census --n 6,8,10 --span 2 --p 0.3 --samples 20 --seed 1
-    repro-radio census --n 8 --samples 200 --shards 8 --rounds --cache census.jsonl
-    repro-radio census --n 8 --samples 200 --queue census.sqlite --workers 4 \\
-        --rounds --cache census.jsonl
-    repro-radio serve --port 8765 --cache service.jsonl
+    repro-radio census --n 8 --samples 200 --shards 8 --rounds --cache census.sqlite
+    repro-radio census --n 8 --samples 200 --queue queue.sqlite --workers 4 \\
+        --rounds --cache census.sqlite
+    repro-radio serve --port 8765 --cache service.sqlite
     repro-radio defeat
 
 (Also runnable as ``python -m repro.cli ...``.)
@@ -27,6 +27,7 @@ adversarial robustness campaigns with replayable bundles).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -344,22 +345,17 @@ def _print_stats_json(**groups) -> None:
 
 def cmd_census(args: argparse.Namespace) -> int:
     """Feasibility census over random configurations (engine-backed)."""
+    import sqlite3
+
     from .analysis.census import random_census_run
     from .engine import QueueError, ResultCache
 
     if args.shards < 1:
         raise SystemExit("census: --shards must be >= 1")
-    if args.compact_cache and not args.cache:
-        raise SystemExit("census: --compact-cache requires --cache")
     if args.cache and not args.rounds:
         raise SystemExit(
             "census: --cache requires --rounds (a census that only "
             "classifies computes no keys and uses no cache)"
-        )
-    if args.compact_cache and args.queue:
-        raise SystemExit(
-            "census: --compact-cache does not apply to --queue runs "
-            "(compact the cache with an in-process --rounds census)"
         )
     if args.queue is None and args.role != "auto":
         raise SystemExit("census: --role requires --queue")
@@ -373,15 +369,15 @@ def cmd_census(args: argparse.Namespace) -> int:
             args.workers = 1
         try:
             return _census_queue_mode(args)
-        except QueueError as exc:
+        except (QueueError, ValueError) as exc:  # ValueError: not a store
             raise SystemExit(f"census: {exc}")
         except OSError as exc:
             raise SystemExit(f"census: queue I/O failed: {exc}")
     ns = [int(x) for x in args.n.split(",")]
     try:
         cache = ResultCache(args.cache) if args.cache else ResultCache()
-    except OSError as exc:
-        raise SystemExit(f"census: cannot use cache file {args.cache!r}: {exc}")
+    except ValueError as exc:  # not a result store
+        raise SystemExit(f"census: {exc}")
     try:
         run = random_census_run(
             ns,
@@ -394,15 +390,11 @@ def cmd_census(args: argparse.Namespace) -> int:
             cache=cache,
             algorithm=args.algorithm,
         )
-    except OSError as exc:
+    except sqlite3.Error as exc:
         raise SystemExit(f"census: cache I/O failed: {exc}")
+    cache.close()
     result = run.result
     if args.stats_json:
-        if args.compact_cache:
-            try:
-                cache.compact()
-            except OSError as exc:
-                raise SystemExit(f"census: cache compaction failed: {exc}")
         _print_stats_json(engine=run.stats.as_dict, cache=cache.stats.as_dict)
         return 0
     print(
@@ -417,15 +409,6 @@ def cmd_census(args: argparse.Namespace) -> int:
     )
     print(f"  {run.describe()}")
     print(f"  {cache.describe()}")
-    if args.compact_cache:
-        try:
-            dropped = cache.compact()
-        except OSError as exc:
-            raise SystemExit(f"census: cache compaction failed: {exc}")
-        print(
-            f"  compacted {args.cache}: dropped {dropped} superseded "
-            f"line(s), {len(cache)} live key(s)"
-        )
     if args.stats:
         engine_counts = sorted(run.stats.as_dict().items())
         cache_counts = sorted(cache.stats.as_dict().items())
@@ -442,8 +425,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         cache = ResultCache(args.cache) if args.cache else ResultCache()
-    except OSError as exc:
-        raise SystemExit(f"serve: cannot use cache file {args.cache!r}: {exc}")
+    except ValueError as exc:  # not a result store
+        raise SystemExit(f"serve: {exc}")
     classifier = BatchClassifier(
         cache,
         max_batch=args.max_batch,
@@ -464,6 +447,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}")
     run_server(server)
+    cache.close()
     return 0
 
 
@@ -894,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache",
         help=(
-            "JSONL classification cache file, reused across runs "
+            "SQLite result cache file, reused across runs "
             "(requires --rounds: a census that only classifies uses no cache)"
         ),
     )
@@ -945,14 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--compact-cache",
-        action="store_true",
-        help=(
-            "after an in-process census, atomically rewrite the --cache "
-            "JSONL store dropping superseded duplicate keys"
-        ),
-    )
-    p.add_argument(
         "--stats",
         action="store_true",
         help="print detailed engine/cache hit, miss and collapse counters",
@@ -976,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765, help="0 picks a free port")
     p.add_argument(
-        "--cache", help="JSONL classification cache file (shared with census)"
+        "--cache", help="SQLite result cache file (shared with census)"
     )
     p.add_argument(
         "--max-batch", type=int, default=64, help="max requests per engine batch"
@@ -1206,9 +1182,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     The global observability flags (``--trace PATH`` / ``--obs``, on the
     commands that do real work) are honored here: tracing is enabled
     before the command runs and disabled after, so every span the
-    command's layers open lands in one run-event log.
+    command's layers open lands in one run-event log. A command whose
+    stdout reader goes away (``| head``) exits 1 without a traceback.
     """
     args = build_parser().parse_args(argv)
+    try:
+        code = _run_command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away (``| head``): stop quietly, and send
+        # what is still buffered to devnull so the final flush cannot
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run_command(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     want_obs = bool(trace_path) or getattr(args, "obs", False)
     if not want_obs:

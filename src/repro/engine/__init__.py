@@ -6,8 +6,8 @@ from throwaway sweeps into accumulating, resumable artifacts:
 * :mod:`repro.engine.keys` — canonical keys that collapse tag-preserving
   isomorphic configurations to one cache entry, at any size, via the
   refinement canonizer (:mod:`repro.canon`);
-* :mod:`repro.engine.cache` — an in-memory LRU with an optional
-  append-only JSONL store, so repeated rounds censuses and service
+* :mod:`repro.engine.cache` — an in-memory dict with an optional
+  SQLite store (one row per key), so repeated rounds censuses and service
   requests are near-free (a census that only classifies computes no
   key and uses no cache: the key would cost more than it saves);
 * :mod:`repro.engine.workloads` — deterministic, slice-regenerable
@@ -62,7 +62,6 @@ from .pipeline import (
     group_by_n_span,
     plan_shards,
     record_sufficient,
-    register_grouping,
     sharded_census,
 )
 from .queue import (
@@ -85,7 +84,6 @@ from .workloads import (
     feasible_batch,
     make_random_config,
     random_config_batch,
-    register_workload_kind,
     seeded_config,
     workload_from_spec,
 )
@@ -127,8 +125,6 @@ __all__ = [
     "queue_worker",
     "random_config_batch",
     "record_sufficient",
-    "register_grouping",
-    "register_workload_kind",
     "seeded_config",
     "sharded_census",
     "workload_from_spec",

@@ -33,8 +33,8 @@ means fewer cache hits (``certificate_key`` is the one exception: it
 may *over*-collapse 1-WL-equivalent non-isomorphic configurations, so
 it is opt-in and never the default).
 
-Keys are short strings so they serialize verbatim into the JSONL cache
-(:mod:`repro.engine.cache`). Canonical keys name
+Keys are short strings so they are stored verbatim as the result
+store's row keys (:mod:`repro.engine.cache`). Canonical keys name
 their scheme (``c2:<digest>``): the form they digest changed definition
 once, from the brute-force minimum to the refinement search's leaf, and
 the prefix tells entries written under the unprefixed old keys apart —

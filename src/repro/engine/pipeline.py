@@ -63,32 +63,24 @@ def group_by_n_span(config: Configuration) -> Tuple[int, int]:
 
     Distributed runs identify groupings by *name* (a worker process
     cannot deserialize a lambda), so the default grouping needs a
-    stable, registered definition site. See :data:`GROUPINGS`.
+    stable definition site. See :data:`GROUPINGS`.
     """
     return (config.n, config.span)
 
 
-#: Named groupings a distributed census can ship through its queue.
+#: The closed set of named groupings a distributed census can ship
+#: through its queue.
 GROUPINGS: Dict[str, GroupBy] = {
     "n_span": group_by_n_span,
     "n": group_by_n,
 }
 
 
-def register_grouping(name: str, group_by: GroupBy) -> None:
-    """Register a grouping for distributed runs under a stable name.
-
-    Worker processes must register the same name before attaching to a
-    queue that uses it.
-    """
-    GROUPINGS[name] = group_by
-
-
 def _grouping_name(group_by: Optional[GroupBy]) -> str:
-    """The registered name for a grouping callable (None -> default).
+    """The name of a grouping callable in :data:`GROUPINGS` (None -> default).
 
-    Unregistered callables cannot cross a process boundary, so they are
-    rejected with a pointer at :func:`register_grouping`.
+    Other callables cannot cross a process boundary, so they are
+    rejected with the names a distributed census accepts.
     """
     if group_by is None:
         return "n_span"
@@ -96,8 +88,8 @@ def _grouping_name(group_by: Optional[GroupBy]) -> str:
         if fn is group_by:
             return name
     raise ValueError(
-        "distributed censuses need a registered grouping "
-        "(register_grouping(name, fn)); got an unregistered callable"
+        f"distributed censuses group by a named grouping, one of "
+        f"{sorted(GROUPINGS)}; got another callable"
     )
 
 
@@ -445,10 +437,9 @@ class BatchLookup:
         self.stats = stats
         self.keys: List[str] = []  # key per item, in input order
         pending: "Dict[str, Configuration]" = {}  # first config per missing key
-        # Records are pinned locally for the duration of the batch: a
-        # bounded LRU may evict an entry between lookup and result
-        # assembly, so the cache is never re-consulted for a record
-        # already seen this batch.
+        # Records are pinned locally for the duration of the batch, so a
+        # key repeated in the batch is answered without a second lookup
+        # and result assembly never re-consults the cache.
         self._records: Dict[str, Dict] = {}
 
         def keyed_items():
@@ -483,10 +474,11 @@ class BatchLookup:
         return _classify_records(self.misses, self.measure_rounds, algorithm)
 
     def complete(self, records: Sequence[Dict]) -> List[Dict]:
-        """Store the records of :attr:`misses`; every input's record."""
-        for key, record in zip(self._missing, records):
-            self._records[key] = record
-            self.cache.put(key, record)
+        """Store the records of :attr:`misses` (one store transaction);
+        every input's record."""
+        pairs = list(zip(self._missing, records))
+        self._records.update(pairs)
+        self.cache.put_many(pairs)
         self.stats.classified += len(self._missing)
         return [self._records[key] for key in self.keys]
 
@@ -671,18 +663,21 @@ def create_census_queue(
     The queue's metadata carries everything a standalone worker process
     needs to reconstruct the run: the workload spec
     (:meth:`~repro.engine.workloads.Workload.to_spec`), the census
-    options, the grouping *name* (see :func:`register_grouping`), and
-    the shared JSONL cache path. Only a ``measure_rounds`` census uses
-    the cache (``None`` means every worker keeps a private in-memory
-    one); a classify-only census's workers never open it. Each shard is
-    enqueued with the workload's static cost estimate, and workers
-    lease the costliest pending shard first.
+    options, the grouping *name* (a key of :data:`GROUPINGS`), and the
+    path of the result store the workers share. Only a
+    ``measure_rounds`` census uses the store (``None`` means every
+    worker keeps a private in-memory cache), and opens it here once, so
+    that a file that is not a store raises ``ValueError`` before the
+    queue exists. Each shard is enqueued with the workload's static
+    cost estimate, and workers lease the costliest pending shard first.
 
     Creation is idempotent: re-running the coordinator against a queue
     holding the *same* run resumes it; a different run at the same path
     raises :class:`~repro.engine.queue.QueueError`.
     """
     workload = as_workload(workload)
+    if measure_rounds and cache_path:
+        ResultCache(cache_path)  # refuse a file that is not a store
     total = len(workload)
     shards = plan_shards(total, num_shards)
     meta = {
@@ -714,9 +709,9 @@ def _open_census(meta: Dict):
     The runner classifies one shard (:func:`_classify_shard`) and
     returns its rows and ``{"classified", "cache_hits", "deduped"}``
     stats, which the merge sums into the run's engine stats. A
-    ``measure_rounds`` queue's worker opens the queue's cache once and
-    classifies through it; a classify-only one opens no cache and
-    computes no key (see :func:`sharded_census`).
+    ``measure_rounds`` queue's worker opens the queue's store once,
+    after the fork, and classifies through it; a classify-only one
+    opens no cache and computes no key (see :func:`sharded_census`).
     """
     workload = workload_from_spec(meta["workload"])
     grouping = meta.get("group_by", "n_span")
@@ -724,8 +719,8 @@ def _open_census(meta: Dict):
         group_by = GROUPINGS[grouping]
     except KeyError:
         raise QueueError(
-            f"census queue uses grouping {grouping!r}, which this "
-            f"process has not registered (register_grouping)"
+            f"census queue uses grouping {grouping!r}; this build knows "
+            f"{sorted(GROUPINGS)}"
         ) from None
     measure_rounds = bool(meta.get("measure_rounds", False))
     algorithm = str(meta.get("algorithm", "auto"))

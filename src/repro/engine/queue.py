@@ -111,6 +111,24 @@ def default_owner() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
+def connect(path: str) -> sqlite3.Connection:
+    """Open the SQLite file of a work queue or a result store
+    (:mod:`repro.engine.cache`), which several processes share; the
+    connection must not cross a fork."""
+    conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
+    # manual transaction control: single mutations autocommit, a
+    # read-modify-write wraps itself in BEGIN IMMEDIATE
+    conn.isolation_level = None
+    try:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute("PRAGMA busy_timeout=30000")
+    except sqlite3.DatabaseError:  # e.g. "file is not a database"
+        conn.close()
+        raise
+    return conn
+
+
 @contextmanager
 def heartbeat_guard(queue: "WorkQueue", lease: Lease):
     """Keep ``lease`` alive for the duration of a ``with`` block.
@@ -159,7 +177,7 @@ class WorkQueue:
         self.path = path
         self._lock = threading.RLock()
         try:
-            self._conn = self._connect(path)
+            self._conn = connect(path)
         except sqlite3.DatabaseError as exc:
             raise QueueError(f"{path!r} is not a work queue ({exc})") from None
         try:
@@ -187,21 +205,6 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @staticmethod
-    def _connect(path: str) -> sqlite3.Connection:
-        conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
-        # manual transaction control: single mutations autocommit, the
-        # lease read-modify-write wraps itself in BEGIN IMMEDIATE
-        conn.isolation_level = None
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-        except sqlite3.DatabaseError:  # e.g. "file is not a database"
-            conn.close()
-            raise
-        return conn
-
     @classmethod
     def create(
         cls,
@@ -240,7 +243,7 @@ class WorkQueue:
                     f"mismatched meta: {sorted(mismatch)}"
                 )
             return queue
-        conn = cls._connect(path)
+        conn = connect(path)
         try:
             try:
                 conn.execute("BEGIN IMMEDIATE")

@@ -118,7 +118,7 @@ class Workload:
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support distributed execution "
-            "(no to_spec); register one via register_workload_kind"
+            f"(no to_spec); the spec kinds are {sorted(WORKLOAD_KINDS)}"
         )
 
     def __iter__(self) -> Iterator[Configuration]:
@@ -287,7 +287,8 @@ def _sequence_from_spec(spec: Dict) -> "SequenceWorkload":
     return SequenceWorkload(configs, label=spec.get("label"))
 
 
-#: Spec ``kind`` -> factory rebuilding the workload from its spec dict.
+#: The closed table of spec ``kind`` -> factory rebuilding the workload
+#: from its spec dict.
 WORKLOAD_KINDS: Dict[str, Callable[[Dict], Workload]] = {
     "gnp": lambda spec: RandomGnpWorkload(
         spec["n_values"], spec["span"], spec["p"], spec["samples"], spec["seed"]
@@ -299,30 +300,17 @@ WORKLOAD_KINDS: Dict[str, Callable[[Dict], Workload]] = {
 }
 
 
-def register_workload_kind(
-    kind: str, factory: Callable[[Dict], Workload]
-) -> None:
-    """Register a custom spec kind for distributed execution.
-
-    ``factory`` receives the full spec dict and returns the workload.
-    Worker processes must register the same kind before attaching to a
-    queue that uses it (e.g. at the top of the module they are launched
-    from).
-    """
-    WORKLOAD_KINDS[kind] = factory
-
-
 def workload_from_spec(spec: Dict) -> Workload:
     """Rebuild a workload from a :meth:`Workload.to_spec` dict.
 
     The queue stores the spec at creation; every worker calls this to
     regenerate shard contents locally. Unknown kinds raise ``KeyError``
-    naming the kind (register it via :func:`register_workload_kind`).
+    naming the kind and the known ones (:data:`WORKLOAD_KINDS`).
     """
     kind = spec.get("kind")
     if kind not in WORKLOAD_KINDS:
         raise KeyError(
-            f"unknown workload kind {kind!r}; registered: "
+            f"unknown workload kind {kind!r}; known kinds: "
             f"{sorted(WORKLOAD_KINDS)}"
         )
     return WORKLOAD_KINDS[kind](spec)

@@ -535,9 +535,10 @@ class BatchClassifier:
     ----------
     cache:
         shared result cache; a private in-memory one is created when
-        omitted. Use a JSONL-backed cache to persist across restarts —
-        the records are the same shape the census pipeline writes, so a
-        census run pre-warms the service and vice versa.
+        omitted. Use a store-backed one (``ResultCache(path)``) to
+        persist across restarts — the records are the same shape the
+        census pipeline writes, so a census run pre-warms the service
+        and vice versa.
     max_batch:
         most requests classified in one engine call. A batch is
         whatever is queued when the dispatcher runs, up to this bound.

@@ -7,9 +7,10 @@ the plain ``repro-radio census``), and the durable work queue
 (:func:`repro.engine.distributed_census`, behind ``census --queue``),
 which is also the only way to resume one. The HTTP service answers the
 same questions one batch at a time, so its ``elect`` reports must add
-up to the same rows. These tests run two seeded populations through all
-of them, and through every classifier algorithm, and resume a
-half-finished queue from the CLI: one whose members are all feasible,
+up to the same rows, also when it answers from a result store that a
+queued census's workers wrote. These tests run two seeded populations
+through all of them, and through every classifier algorithm, and resume
+a half-finished queue from the CLI: one whose members are all feasible,
 and one with infeasible members (``null`` rounds) and members that
 take more than one iteration.
 """
@@ -36,12 +37,13 @@ from repro.engine import (
     WorkQueue,
     collect_queue,
     create_census_queue,
+    default_keyer,
     distributed_census,
     queue_worker,
     sharded_census,
 )
 from repro.reporting.tables import format_table
-from repro.service import config_to_json, make_server
+from repro.service import BatchClassifier, config_to_json, make_server
 from repro.testing import random_census_configs
 
 #: every classifier algorithm (``batch`` only where numpy is importable)
@@ -71,10 +73,11 @@ def cli(capsys, opts, *args):
     return capsys.readouterr().out
 
 
-def served_census(configs):
+def served_census(configs, classifier=None):
     """Census rows grouped by ``n``, rebuilt from a live service's answer
-    to one ``elect`` batch POST of ``configs``."""
-    server = make_server(port=0, quiet=True)
+    to one ``elect`` batch POST of ``configs`` (served by ``classifier``,
+    a fresh one when omitted)."""
+    server = make_server(port=0, classifier=classifier, quiet=True)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -151,12 +154,17 @@ def test_every_census_path_gives_the_oracle_rows(
     warm = sharded_census(workload, num_shards=5, cache=cache, **kw)
     assert warm.stats.classified == 0
     runs["sharded x5, warm cache"] = warm.result
-    runs["distributed x2"] = distributed_census(
-        workload, str(tmp_path / "api.sqlite"), num_workers=2, **kw
+    store = str(tmp_path / "store.sqlite")
+    runs["distributed x2, one store"] = distributed_census(
+        workload, str(tmp_path / "api.sqlite"), num_workers=2, cache_path=store, **kw
     ).result
-    runs["HTTP service, one elect batch"] = served_census(
-        random_census_configs(*population)
-    )
+    configs = list(random_census_configs(*population))
+    keys = {default_keyer(c.normalize()) for c in configs}
+    assert len(ResultCache(store)) == len(keys)  # one row per distinct key
+    runs["HTTP service, one elect batch"] = served_census(configs)
+    from_store = BatchClassifier(ResultCache(store))
+    runs["HTTP service, from the store"] = served_census(configs, from_store)
+    assert from_store.stats.engine.classified == 0
     for algorithm in ALGORITHMS:
         runs[f"sharded, algorithm={algorithm}"] = sharded_census(
             workload, algorithm=algorithm, **kw

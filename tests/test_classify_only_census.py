@@ -43,7 +43,7 @@ def shared_columns(rows):
 def test_sharded_census_never_keys_or_looks_up(
     workload, rounds_rows, tmp_path, algorithm
 ):
-    path = tmp_path / "cache.jsonl"
+    path = tmp_path / "cache.sqlite"
     cache = ResultCache(str(path))
     run = sharded_census(
         workload,
@@ -64,7 +64,7 @@ def test_queue_worker_never_keys_or_opens_the_cache(
     workload, rounds_rows, tmp_path, monkeypatch
 ):
     monkeypatch.setattr(pipeline, "default_keyer", exploding_keyer)
-    cache_path = tmp_path / "cache.jsonl"
+    cache_path = tmp_path / "cache.sqlite"
     queue_path = str(tmp_path / "census.sqlite")
     create_census_queue(
         queue_path, workload, num_shards=3, cache_path=str(cache_path)
@@ -78,7 +78,7 @@ def test_queue_worker_never_keys_or_opens_the_cache(
 
 
 def test_rounds_census_still_keys_and_caches(workload, rounds_rows, tmp_path):
-    cache_path = str(tmp_path / "sharded.jsonl")
+    cache_path = str(tmp_path / "sharded.sqlite")
     runs = [
         sharded_census(
             workload, cache=ResultCache(cache_path), measure_rounds=True
@@ -89,7 +89,7 @@ def test_rounds_census_still_keys_and_caches(workload, rounds_rows, tmp_path):
     assert runs[1].stats.classified == 0
     assert runs[1].result.rows == runs[0].result.rows == rounds_rows
 
-    cache_path = str(tmp_path / "queue.jsonl")
+    cache_path = str(tmp_path / "store.sqlite")
     classified = []
     for phase in ("cold", "rerun"):
         queue_path = str(tmp_path / f"{phase}.sqlite")

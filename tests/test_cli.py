@@ -109,32 +109,12 @@ class TestCensus:
         assert "Engine stats" in out and "Cache stats" in out
         assert "coalesced" in out and "misses" in out
 
-    def test_compact_cache_flag(self, tmp_path, capsys):
-        from repro.analysis.census import random_census_workload
-        from repro.engine import ResultCache, batch_records
-
-        cache = str(tmp_path / "census.jsonl")
-        # classify-only records, written through batch_records as the
-        # service writes them (a classify-only census caches nothing)
-        seeded = ResultCache(cache)
-        batch_records(random_census_workload([4], 2, 0.3, 3, 2), seeded)
-        seeded.close()
-        base = ["census", "--n", "4", "--samples", "3", "--seed", "2", "--cache", cache]
-        # the --rounds run upgrades every record: superseded lines appear
-        assert main(base + ["--rounds", "--compact-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "compacted" in out and "dropped 3 superseded" in out
-        with open(cache, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        keys = [json.loads(line)["key"] for line in lines]
-        assert len(keys) == len(set(keys))  # no superseded duplicates left
-
     @pytest.mark.parametrize("mode", ["in-process", "queue"])
     def test_stats_json_prints_one_snapshot(self, mode, tmp_path, capsys):
         from repro import obs
 
         if mode == "in-process":
-            extra = ["--rounds", "--cache", str(tmp_path / "census.jsonl")]
+            extra = ["--rounds", "--cache", str(tmp_path / "census.sqlite")]
             groups = ["cache", "engine"]
         else:
             extra = ["--queue", str(tmp_path / "q.sqlite"), "--workers", "2"]
@@ -152,25 +132,61 @@ class TestCensus:
             assert queue["done"] == queue["total"]
         assert obs.snapshot()["groups"] == registered  # groups unregistered
 
-    def test_compact_cache_requires_cache(self):
-        with pytest.raises(SystemExit):
-            main(["census", "--n", "4", "--samples", "2", "--compact-cache"])
-
     def test_cache_requires_rounds(self, tmp_path):
-        cache = tmp_path / "census.jsonl"
-        for extra in ([], ["--compact-cache"]):
-            with pytest.raises(SystemExit, match="--rounds"):
-                main(["census", "--n", "4", "--samples", "2",
-                      "--cache", str(cache), *extra])
+        cache = tmp_path / "census.sqlite"
+        with pytest.raises(SystemExit, match="--rounds"):
+            main(["census", "--n", "4", "--samples", "2", "--cache", str(cache)])
         assert not cache.exists()
 
-    def test_compact_cache_rejects_queue(self, tmp_path):
-        with pytest.raises(SystemExit, match="--queue"):
-            main(["census", "--n", "4", "--samples", "2", "--rounds",
-                  "--cache", str(tmp_path / "c.jsonl"), "--queue",
-                  str(tmp_path / "q.sqlite"), "--workers", "2",
-                  "--compact-cache"])
-        assert not (tmp_path / "q.sqlite").exists()
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["census", "--n", "4", "--samples", "2", "--rounds"],
+        ["census", "--n", "4", "--samples", "2", "--rounds", "--workers", "2",
+         "--queue", "{queue}"],
+        # the bad cap makes a serve that accepted the file exit, not serve
+        ["serve", "--port", "0", "--max-connections", "0"],
+    ],
+    ids=["census", "census-queue", "serve"],
+)
+def test_a_file_that_is_not_a_result_store_is_refused(command, tmp_path):
+    """A JSONL cache of an earlier build is not a store: the command exits
+    with the message, leaves the file as it was and creates no queue."""
+    cache = tmp_path / "old.jsonl"
+    cache.write_text('{"key":"k","record":{"feasible":true}}\n')
+    before = cache.read_bytes()
+    queue = tmp_path / "q.sqlite"
+    argv = [arg.format(queue=queue) for arg in command]
+    with pytest.raises(SystemExit, match="not a result cache"):
+        main([*argv, "--cache", str(cache)])
+    assert cache.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+
+def test_a_closed_stdout_ends_the_command_without_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    log = tmp_path / "t.jsonl"
+    assert main(["census", "--n", "4", "--samples", "3", "--trace", str(log)]) == 0
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "trace", "summarize", str(log)],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
 
 
 class TestDefeat:

@@ -11,7 +11,7 @@ tagged ``python``, and executes it:
 * plain blocks run under ``exec`` in a fresh namespace.
 
 Both run with the current directory pointed at a temp dir, so examples
-may freely write files (``census.jsonl``, queue files, ...). Blocks
+may freely write files (``census.sqlite``, queue files, ...). Blocks
 tagged ``python no-run`` are skipped (none currently; the escape hatch
 exists for examples that would need external services).
 

@@ -1,12 +1,13 @@
-"""Engine cache correctness: canonical keying, LRU, JSONL persistence.
+"""Engine cache correctness: canonical keying and the SQLite store.
 
 The load-bearing property: classifying a configuration and a relabeled
 isomorph of it produces ONE cache entry and identical reports — that is
 what makes the canonical-form memoization sound.
 """
 
+import hashlib
 import json
-import os
+import sqlite3
 import time
 
 import pytest
@@ -30,8 +31,8 @@ from conftest import random_config_batch
 OLD_CANONICAL_N_LIMIT = 10
 
 
-def _append_burst(path: str, prefix: str, count: int) -> None:
-    """Subprocess body: hammer `count` appends into a shared store."""
+def _put_burst(path: str, prefix: str, count: int) -> None:
+    """Subprocess body: hammer `count` puts into a shared store."""
     cache = ResultCache(path)
     for i in range(count):
         cache.put(f"{prefix}{i}", {"writer": prefix, "i": i, "pad": "x" * 64})
@@ -98,7 +99,7 @@ class TestKeys:
         assert certificate_key(cfg) != certificate_key(other)
 
     def test_parent_scheme_entry_is_a_miss(self, tmp_path):
-        """A JSONL cache holding an entry under the parent scheme — the
+        """A store holding an entry under the parent scheme — the
         unprefixed digest of the brute-force-defined form — gives the
         versioned keyer a miss and a fresh record, never the stored one."""
         from repro.engine.keys import KEY_SCHEME, _digest
@@ -108,10 +109,10 @@ class TestKeys:
         n, tagvec, edges = bruteforce_canonical_form(cfg)
         parent_key = _digest([n, list(tagvec), [list(e) for e in edges]])
         stale = {"feasible": "stale", "iterations": -1, "rounds": None}
-        path = tmp_path / "parent.jsonl"
-        path.write_text(json.dumps({"key": parent_key, "record": stale}) + "\n")
+        path = str(tmp_path / "parent.sqlite")
+        ResultCache(path).put(parent_key, stale)
 
-        cache = ResultCache(str(path))
+        cache = ResultCache(path)
         assert cache.peek(parent_key) == stale  # the old entry is loaded ...
         key = canonical_key(cfg)
         assert key.startswith(KEY_SCHEME + ":") and key != parent_key
@@ -147,16 +148,6 @@ class TestResultCache:
         assert rec_a["iterations"] == classify(iso).num_iterations
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", {"x": 1})
-        cache.put("b", {"x": 2})
-        assert cache.get("a") == {"x": 1}  # refresh a; b is now LRU
-        cache.put("c", {"x": 3})
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        assert cache.stats.evictions == 1
-
     def test_put_overwrites_without_growth(self):
         cache = ResultCache()
         cache.put("k", {"v": 1})
@@ -165,7 +156,7 @@ class TestResultCache:
         assert cache.peek("k") == {"v": 2}
 
     def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        path = str(tmp_path / "cache.sqlite")
         c1 = ResultCache(path)
         c1.put("k1", {"feasible": True, "iterations": 2, "rounds": None})
         c1.put("k2", {"feasible": False, "iterations": 1, "rounds": None})
@@ -174,133 +165,125 @@ class TestResultCache:
         assert c2.stats.loaded == 2
         assert c2.get("k1") == {"feasible": True, "iterations": 2, "rounds": None}
 
-    def test_truncated_trailing_line_ignored(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        c1 = ResultCache(path)
-        c1.put("k1", {"v": 1})
-        c1.put("k2", {"v": 2})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "k3", "record"')  # crashed mid-append
-        c2 = ResultCache(path)
-        assert len(c2) == 2
-        assert "k3" not in c2
-
-    def test_put_after_a_torn_tail_keeps_its_record(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        ResultCache(path).put("a", {"v": 1})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key":"torn","rec')  # crashed mid-append
-        reopened = ResultCache(path)
-        reopened.put("b", {"v": 2})
-        reopened.close()
-        cache = ResultCache(path)
-        assert cache.peek("a") == {"v": 1} and cache.peek("b") == {"v": 2}
-        assert cache.compact() == 1  # only the torn line goes
-        assert len(ResultCache(path)) == 2
-
     def test_last_line_wins_on_duplicate_keys(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": "k", "record": {"v": 1}}) + "\n")
-            fh.write(json.dumps({"key": "k", "record": {"v": 2}}) + "\n")
+        """The last put of a key wins across a reopen, in one row."""
+        path = str(tmp_path / "cache.sqlite")
+        writer = ResultCache(path)
+        writer.put("k", {"v": 1})
+        writer.put("k", {"v": 2})
+        writer.close()
         assert ResultCache(path).peek("k") == {"v": 2}
+        assert _rows(path) == [("k", '{"v":2}')]
 
     def test_persistent_handle_flushes_per_line(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
+        """A put is in the store before close(); a put after close()
+        reopens the store."""
+        path = str(tmp_path / "cache.sqlite")
         writer = ResultCache(path)
         writer.put("k1", {"v": 1})
-        # line-buffered handle: the record is on disk before close()
         assert len(ResultCache(path)) == 1
         writer.put("k2", {"v": 2})
         writer.close()
         assert len(ResultCache(path)) == 2
-        writer.put("k3", {"v": 3})  # handle reopens lazily after close
+        writer.put("k3", {"v": 3})
         assert len(ResultCache(path)) == 3
+        writer.close()
 
-    def test_bad_max_entries_rejected(self):
-        with pytest.raises(ValueError):
-            ResultCache(max_entries=0)
+    def test_a_cache_that_is_never_written_creates_no_file(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        cache = ResultCache(str(path))
+        cache.put_many([])
+        cache.close()
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["jsonl", "other-sqlite"])
+    def test_a_file_that_is_not_a_store_is_refused_and_left_unchanged(
+        self, kind, tmp_path
+    ):
+        path = tmp_path / "old"
+        if kind == "jsonl":  # a cache written by an earlier build
+            path.write_text('{"key":"k","record":{"v":1}}\n')
+        else:  # a SQLite file in rollback-journal mode, without the table
+            conn = sqlite3.connect(str(path))
+            conn.execute("CREATE TABLE other (x)")
+            conn.commit()
+            conn.close()
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises(ValueError, match="not a result cache") as err:
+            ResultCache(str(path))
+        assert str(path) in str(err.value)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+
+    def test_a_store_another_process_is_creating_loads_empty(self, tmp_path):
+        """Between a writer's creating the file and its table, a reader
+        (a second census worker, say) sees an empty store, not a foreign
+        file."""
+        from repro.engine.queue import connect
+
+        path = str(tmp_path / "cache.sqlite")
+        connect(path).close()  # the file and its WAL header, no table yet
+        cache = ResultCache(path)
+        assert len(cache) == 0
+        cache.put("k", {"v": 1})
+        cache.close()
+        assert ResultCache(path).peek("k") == {"v": 1}
+
+    def test_a_decide_then_elect_pass_leaves_one_row_per_key(self, tmp_path):
+        """The rounds upgrade replaces a key's classify-only record in
+        its row: the store holds one row per distinct key."""
+        from repro.engine import RandomGnpWorkload, batch_records
+
+        workload = RandomGnpWorkload([5, 6, 7], span=2, p=0.3, samples=8, seed=11)
+        path = str(tmp_path / "cache.sqlite")
+        cache = ResultCache(path)
+        batch_records(workload, cache, measure_rounds=False)
+        decided = len(cache)
+        batch_records(workload, cache, measure_rounds=True)
+        cache.close()
+        rows = _rows(path)
+        assert len(rows) == len(cache) == decided
+        records = [json.loads(record) for _, record in rows]
+        assert any(r["feasible"] for r in records)
+        assert all(r["rounds"] is not None for r in records if r["feasible"])
 
     def test_two_processes_appending_concurrently_never_tear_lines(
         self, tmp_path
     ):
-        """Each put is one O_APPEND write(2), so concurrent writer
-        processes — the distributed census sharing one cache file —
-        interleave only at line granularity: every line parses, every
-        key from both writers survives."""
+        """Two writer processes — the distributed census's workers
+        sharing one store — lose no put: SQLite serializes their writes,
+        and the store then holds every key from both."""
         import multiprocessing
 
-        path = str(tmp_path / "shared.jsonl")
+        path = str(tmp_path / "shared.sqlite")
         n_each = 200
         procs = [
             multiprocessing.Process(
-                target=_append_burst, args=(path, prefix, n_each)
+                target=_put_burst, args=(path, prefix, n_each)
             )
             for prefix in ("a", "b")
         ]
         for p in procs:
             p.start()
         for p in procs:
-            p.join()
-        assert all(p.exitcode == 0 for p in procs)
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == 2 * n_each
-        parsed = [json.loads(line) for line in lines]  # no torn lines
-        keys = {obj["key"] for obj in parsed}
+            p.join(timeout=120)
+        assert [p.exitcode for p in procs] == [0, 0]
+        keys = {key for key, _ in _rows(path)}
         assert keys == {
             f"{prefix}{i}" for prefix in ("a", "b") for i in range(n_each)
         }
-        # replay sees every record from both writers
         merged = ResultCache(path)
-        assert len(merged) == 2 * n_each
+        assert len(merged) == merged.stats.loaded == 2 * n_each
         assert merged.peek("a0") == {"writer": "a", "i": 0, "pad": "x" * 64}
 
 
-# ----------------------------------------------------------------------
-# compaction
-# ----------------------------------------------------------------------
-class TestCompact:
-    def test_compact_drops_superseded_lines(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        cache = ResultCache(path)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 1})
-        cache.put("a", {"v": 2})  # supersedes the first "a" line
-        cache.put("a", {"v": 3})
-        assert cache.compact() == 2
-        assert cache.stats.compacted == 2
-        with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        assert [ln["key"] for ln in lines] == ["a", "b"]  # first-seen order
-        assert lines[0]["record"] == {"v": 3}  # ... with the last record
-        replayed = ResultCache(path)
-        assert replayed.peek("a") == {"v": 3}
-        assert replayed.peek("b") == {"v": 1}
-
-    def test_compact_keeps_entries_evicted_from_memory(self, tmp_path):
-        """Compaction replays the file, not the LRU: a disk entry whose
-        memory copy was evicted must survive the rewrite."""
-        path = str(tmp_path / "cache.jsonl")
-        cache = ResultCache(path, max_entries=1)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})  # evicts "a" from memory only
-        assert "a" not in cache
-        assert cache.compact() == 0
-        assert ResultCache(path).peek("a") == {"v": 1}
-
-    def test_compact_drops_truncated_lines_and_appends_still_work(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        cache = ResultCache(path)
-        cache.put("k", {"v": 1})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "x", "rec')  # crashed half-append
-        assert cache.compact() == 1
-        cache.put("k2", {"v": 2})  # handle reopens lazily post-compaction
-        assert len(ResultCache(path)) == 2
-
-    def test_compact_without_store_is_noop(self):
-        assert ResultCache().compact() == 0
+def _rows(path: str):
+    """Every ``(key, record)`` row of a store, read with plain SQL."""
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT key, record FROM records ORDER BY key").fetchall()
+    finally:
+        conn.close()
 
 
 # ----------------------------------------------------------------------

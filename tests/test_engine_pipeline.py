@@ -140,17 +140,6 @@ class TestEquality:
         assert run.stats.classified > 0
         assert render(run.result) == render(serial)
 
-    def test_bounded_lru_cache_still_exact(self, workload, serial):
-        # an aggressively bounded LRU forces evictions mid-run; the
-        # pipeline pins shard records locally, so results stay exact
-        run = sharded_census(
-            workload,
-            num_shards=3,
-            cache=ResultCache(max_entries=2),
-            measure_rounds=True,
-        )
-        assert render(run.result) == render(serial)
-
     def test_exhaustive_population_with_dedup(self):
         w = EnumerationWorkload(4, 1)
         direct = census(iter(w), measure_rounds=True)
@@ -206,7 +195,7 @@ class TestCli:
     def test_census_sharded_output_matches_plain(self, capsys, tmp_path):
         plain = self.run_census(capsys, "--rounds")
         sharded = self.run_census(
-            capsys, "--rounds", "--shards", "3", "--cache", str(tmp_path / "c.jsonl")
+            capsys, "--rounds", "--shards", "3", "--cache", str(tmp_path / "c.sqlite")
         )
         table = lambda out: [  # noqa: E731
             line for line in out.splitlines() if line.startswith(("|", "+"))
@@ -215,7 +204,7 @@ class TestCli:
         assert "engine:" in sharded and "cache:" in sharded
 
     def test_census_cache_reuse_across_invocations(self, capsys, tmp_path):
-        cache = str(tmp_path / "c.jsonl")
+        cache = str(tmp_path / "c.sqlite")
         self.run_census(capsys, "--rounds", "--cache", cache)
         out = self.run_census(capsys, "--rounds", "--cache", cache)
         assert ", 0 classified" in out  # second CLI run fully cache-served

@@ -337,8 +337,18 @@ def test_workload_spec_roundtrip_sequence():
 
 
 def test_workload_from_spec_unknown_kind():
-    with pytest.raises(KeyError, match="gnp"):
+    with pytest.raises(KeyError, match=r"'nope'.*\['enum', 'gnp', 'sequence'\]"):
         workload_from_spec({"kind": "nope"})
+
+
+def test_a_grouping_outside_the_closed_table_is_refused(tmp_path):
+    """A callable cannot cross a process boundary: a distributed census
+    names its grouping, and the refusal lists the names it accepts."""
+    path = tmp_path / "census.sqlite"
+    wl = RandomGnpWorkload([5], span=2, p=0.3, samples=2, seed=1)
+    with pytest.raises(ValueError, match=r"\['n', 'n_span'\]"):
+        create_census_queue(str(path), wl, num_shards=1, group_by=lambda c: c.n)
+    assert not path.exists()
 
 
 def test_gnp_estimate_cost_tracks_n_cubed():

@@ -213,13 +213,13 @@ class TestLifecycleAndErrors:
             BatchClassifier(max_pending=0)
 
     def test_shared_cache_with_census_pipeline(self, tmp_path):
-        """A JSONL cache written by a rounds census pre-warms the
+        """A result store written by a rounds census pre-warms the
         service: a served request for a census-seen configuration
         classifies nothing. (A classify-only census keys nothing and
         writes no cache.)"""
         from repro.engine import RandomGnpWorkload, sharded_census
 
-        path = str(tmp_path / "shared.jsonl")
+        path = str(tmp_path / "shared.sqlite")
         workload = RandomGnpWorkload([6], span=2, p=0.3, samples=5, seed=9)
         sharded_census(workload, cache=ResultCache(path), measure_rounds=True)
 
