@@ -9,20 +9,17 @@ election time — a "results table" the theory paper itself never ran.
 Run:  python examples/census_random.py
 """
 
-from repro.analysis.census import census, random_census
+from repro.analysis.census import census, group_by_n
+from repro.engine import RandomGnpWorkload, sharded_census
 from repro.graphs.generators import build, random_connected_gnp_edges
 from repro.graphs.tags import uniform_random
 from repro.reporting.tables import format_table
 
 # --- feasibility vs network size (fixed span) ----------------------------
-result = random_census(
-    n_values=[4, 6, 8, 12, 16],
-    span=2,
-    p=0.3,
-    samples=30,
-    seed=2020,
-    measure_rounds=True,
+workload = RandomGnpWorkload(
+    n_values=[4, 6, 8, 12, 16], span=2, p=0.3, samples=30, seed=2020
 )
+result = sharded_census(workload, group_by=group_by_n, measure_rounds=True).result
 print(
     format_table(
         result.TABLE_HEADERS,

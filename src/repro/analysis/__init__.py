@@ -9,7 +9,7 @@ from .automorphisms import (
     is_rigid,
     tag_preserving_automorphisms,
 )
-from .census import CensusResult, CensusRow, census, random_census
+from .census import CensusResult, CensusRow, census
 from .rounds import (
     SweepPoint,
     SweepResult,
@@ -105,7 +105,6 @@ __all__ = [
     "quotient_graph",
     "radio_stable",
     "radio_vs_wired",
-    "random_census",
     "ratio_trend",
     "sweep",
     "symmetry_pairs",

@@ -35,7 +35,7 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.classifier import classify
-from ..core.configuration import Configuration
+from ..core.configuration import Configuration, config_from_spec
 from ..core.election import elect_leader
 from ..graphs.enumeration import enumerate_configurations
 from ..graphs.generators import build, random_connected_gnp_edges
@@ -316,11 +316,7 @@ def _witness_key(record: Dict) -> Optional[str]:
         return None
     from ..engine.keys import default_keyer
 
-    cfg = Configuration(
-        edges=[tuple(e) for e in spec["edges"]],
-        tags={v: t for v, t in spec["tags"]},
-    )
-    return default_keyer(cfg.normalize())
+    return default_keyer(config_from_spec(spec).normalize())
 
 
 def _top_indices(

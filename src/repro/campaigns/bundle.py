@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..core.configuration import Configuration
+from ..core.configuration import config_from_spec, config_spec
 
 __all__ = [
     "BUNDLE_FORMAT",
@@ -39,33 +39,6 @@ __all__ = [
 
 #: Manifest format version (bumped on incompatible layout changes).
 BUNDLE_FORMAT = 1
-
-
-def config_spec(config: Configuration) -> Dict:
-    """JSON-able description of a configuration (tags + edges).
-
-    Node labels must be JSON scalars — the same restriction
-    :class:`~repro.engine.workloads.SequenceWorkload` imposes — so the
-    round-trip through a manifest reproduces the exact configuration.
-    """
-    for v in config.nodes:
-        if not isinstance(v, (int, str)) or isinstance(v, bool):
-            raise TypeError(
-                f"node label {v!r} is not JSON-stable; campaign manifests "
-                "need int or str node labels"
-            )
-    return {
-        "tags": [[v, config.tag(v)] for v in config.nodes],
-        "edges": [list(e) for e in config.edges],
-    }
-
-
-def config_from_spec(spec: Dict) -> Configuration:
-    """Rebuild a configuration from :func:`config_spec` output."""
-    return Configuration(
-        edges=[tuple(e) for e in spec["edges"]],
-        tags={v: t for v, t in spec["tags"]},
-    )
 
 
 def _digest(payload: object) -> str:

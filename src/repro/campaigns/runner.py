@@ -419,22 +419,20 @@ def campaign_metrics(results: List[Dict]) -> Dict:
     }
 
 
-def run_campaign(
-    spec: CampaignSpec, *, shard_size: int = DEFAULT_SHARD_SIZE
-) -> CampaignRun:
+def run_campaign(spec: CampaignSpec) -> CampaignRun:
     """Run a whole campaign in-process; return results plus metrics.
 
-    Trials run shard by shard (each shard classified through the batch
-    kernel in one lockstep call); ``shard_size`` only bounds per-shard
-    memory, never results. For multi-process fan-out use
-    :func:`distributed_campaign`.
+    Trials run in shards of :data:`DEFAULT_SHARD_SIZE` (each shard
+    classified through the batch kernel in one lockstep call); the shard
+    size only bounds per-shard memory, never results. For multi-process
+    fan-out use :func:`distributed_campaign`.
     """
     results: List[Dict] = []
     with _obs_span(
         "campaign.run", campaign=spec.name, trials=spec.trials
     ):
-        for start in range(0, spec.trials, max(1, shard_size)):
-            stop = min(start + max(1, shard_size), spec.trials)
+        for start in range(0, spec.trials, DEFAULT_SHARD_SIZE):
+            stop = min(start + DEFAULT_SHARD_SIZE, spec.trials)
             with _obs_span("campaign.shard", start=start, stop=stop):
                 results.extend(_run_shard(spec, start, stop))
     return CampaignRun(

@@ -55,14 +55,21 @@ def _parse_config(args: argparse.Namespace) -> Configuration:
     if args.family:
         return _parse_family(args.family)
     if args.gnp:
-        from .graphs.generators import build, random_connected_gnp_edges
-        from .graphs.tags import uniform_random
+        from .engine.workloads import seeded_config
 
         n, p, span, seed = args.gnp.split(",")
-        n, span, seed = int(n), int(span), int(seed)
-        edges = random_connected_gnp_edges(n, float(p), seed)
-        return build(edges, uniform_random(range(n), span, seed + 1), n=n)
+        return seeded_config(int(seed), int(n), int(span), float(p))
     raise SystemExit("specify a configuration: --line, --family or --gnp")
+
+
+def _int_list(text: str) -> List[int]:
+    """Argument type of ``--n``: a comma-separated list of ints."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -207,10 +214,11 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
     """
     import functools
 
-    from .analysis.census import group_by_n, random_census_workload
+    from .analysis.census import group_by_n
     from .engine import (
         DEFAULT_LEASE_TTL,
         QueueError,
+        RandomGnpWorkload,
         WorkQueue,
         collect_queue,
         create_census_queue,
@@ -262,9 +270,8 @@ def _census_queue_mode(args: argparse.Namespace) -> int:
             )
         return 0
 
-    ns = [int(x) for x in args.n.split(",")]
-    workload = random_census_workload(
-        ns, args.span, args.p, args.samples, args.seed
+    workload = RandomGnpWorkload(
+        args.n, args.span, args.p, args.samples, args.seed
     )
     num_shards = (
         args.shards if args.shards != 1 else max(4 * args.workers, 1)
@@ -347,8 +354,13 @@ def cmd_census(args: argparse.Namespace) -> int:
     """Feasibility census over random configurations (engine-backed)."""
     import sqlite3
 
-    from .analysis.census import random_census_run
-    from .engine import QueueError, ResultCache
+    from .analysis.census import group_by_n
+    from .engine import (
+        QueueError,
+        RandomGnpWorkload,
+        ResultCache,
+        sharded_census,
+    )
 
     if args.shards < 1:
         raise SystemExit("census: --shards must be >= 1")
@@ -369,22 +381,20 @@ def cmd_census(args: argparse.Namespace) -> int:
             args.workers = 1
         try:
             return _census_queue_mode(args)
-        except (QueueError, ValueError) as exc:  # ValueError: not a store
+        except (QueueError, ValueError) as exc:  # ValueError: --cache refused
             raise SystemExit(f"census: {exc}")
         except OSError as exc:
             raise SystemExit(f"census: queue I/O failed: {exc}")
-    ns = [int(x) for x in args.n.split(",")]
     try:
         cache = ResultCache(args.cache) if args.cache else ResultCache()
-    except ValueError as exc:  # not a result store
+    except ValueError as exc:  # not a result store, or no directory for one
         raise SystemExit(f"census: {exc}")
     try:
-        run = random_census_run(
-            ns,
-            span=args.span,
-            p=args.p,
-            samples=args.samples,
-            seed=args.seed,
+        run = sharded_census(
+            RandomGnpWorkload(
+                args.n, args.span, args.p, args.samples, args.seed
+            ),
+            group_by=group_by_n,
             measure_rounds=args.rounds,
             num_shards=args.shards,
             cache=cache,
@@ -425,7 +435,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         cache = ResultCache(args.cache) if args.cache else ResultCache()
-    except ValueError as exc:  # not a result store
+    except ValueError as exc:  # not a result store, or no directory for one
         raise SystemExit(f"serve: {exc}")
     classifier = BatchClassifier(
         cache,
@@ -752,7 +762,7 @@ def _campaign_spec_from_args(args: argparse.Namespace):
             name=args.name,
             seed=args.seed,
             trials=args.trials,
-            n_values=tuple(int(n) for n in args.n.split(",")),
+            n_values=tuple(args.n),
             span=args.span,
             p=args.p,
             strategies=tuple(_parse_strategy_mix(args.mix)),
@@ -866,7 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_elect)
 
     p = sub.add_parser("census", help="feasibility census over random configs")
-    p.add_argument("--n", default="6,8,10", help="comma-separated sizes")
+    p.add_argument(
+        "--n", type=_int_list, default="6,8,10", help="comma-separated sizes"
+    )
     p.add_argument("--span", type=int, default=2)
     p.add_argument("--p", type=float, default=0.3)
     p.add_argument("--samples", type=int, default=20)
@@ -1056,7 +1068,12 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--name", default="cli", help="campaign name for the bundle")
     cr.add_argument("--seed", type=int, default=1)
     cr.add_argument("--trials", type=int, default=100)
-    cr.add_argument("--n", default="4,5,6", help="comma-separated config sizes")
+    cr.add_argument(
+        "--n",
+        type=_int_list,
+        default="4,5,6",
+        help="comma-separated config sizes",
+    )
     cr.add_argument("--span", type=int, default=2)
     cr.add_argument("--p", type=float, default=0.3)
     cr.add_argument(

@@ -40,12 +40,12 @@ The kernel is wired in as ``algorithm="batch"`` on
 :func:`repro.core.classifier.classify` and is the ``auto`` choice
 wherever callers already hold batches — :func:`repro.engine.pipeline.
 batch_records` (hence the sharded census and the service dispatch loop)
-and :func:`repro.analysis.census.census` — via
-:func:`resolve_batch_algorithm`, which falls back to the compiled core
-when numpy is absent. ``classifier_ops`` stays pinned to the reference
-Lemma 3.5 accounting; like the ``fast`` ablation, the batch kernel does
-not meter operations. The E24 benchmark gates a >= 5x speedup over the
-compiled core on a 1k-configuration cold batch (``BENCH_E24.json``).
+and the in-process campaign loop — via :func:`resolve_batch_algorithm`,
+which falls back to the compiled core when numpy is absent.
+``classifier_ops`` stays pinned to the reference Lemma 3.5 accounting;
+the batch kernel does not meter operations.
+The E24 benchmark gates a >= 5x speedup over the compiled core on a
+1k-configuration cold batch (``BENCH_E24.json``).
 """
 
 from __future__ import annotations

@@ -279,3 +279,32 @@ def line_configuration(tags: Sequence[int]) -> Configuration:
     n = len(tags)
     edges = [(i, i + 1) for i in range(n - 1)]
     return Configuration(edges, {i: tags[i] for i in range(n)})
+
+
+def config_spec(config: Configuration) -> Dict:
+    """JSON-able description of a configuration: ``{"tags": [[v, t], …],
+    "edges": [[u, v], …]}``.
+
+    Campaign manifests, queued sequence workloads and extremal witnesses
+    store configurations this way. Node labels must be JSON scalars (ints
+    or strings) so the round-trip reproduces the exact configuration;
+    richer labels raise ``TypeError``.
+    """
+    for v in config.nodes:
+        if not isinstance(v, (int, str)) or isinstance(v, bool):
+            raise TypeError(
+                f"node label {v!r} is not JSON-stable; a configuration "
+                "spec needs int or str node labels"
+            )
+    return {
+        "tags": [[v, config.tag(v)] for v in config.nodes],
+        "edges": [list(e) for e in config.edges],
+    }
+
+
+def config_from_spec(spec: Dict) -> Configuration:
+    """Rebuild a configuration from :func:`config_spec` output."""
+    return Configuration(
+        edges=[tuple(e) for e in spec["edges"]],
+        tags={v: t for v, t in spec["tags"]},
+    )

@@ -15,8 +15,8 @@ from throwaway sweeps into accumulating, resumable artifacts:
   enumerations) that shards can regenerate without materializing the
   population;
 * :mod:`repro.engine.pipeline` — the in-process sharded census runner,
-  bit-for-bit equal to the serial :func:`repro.analysis.census.census`
-  path;
+  bit-for-bit equal to :func:`repro.analysis.census.census`, the serial
+  reference, which imports neither the engine nor the batch kernel;
 * :mod:`repro.engine.queue` — the distributed path and the only
   resumable one: a durable SQLite work queue that N independent worker
   processes drain under lease/heartbeat semantics, costliest pending

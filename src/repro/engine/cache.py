@@ -72,7 +72,8 @@ class ResultCache:
         optional store file. An existing store is loaded into memory on
         construction; the file is created at the first :meth:`put`, so
         a cache that is never written leaves no file behind. A file that
-        is not a store raises ``ValueError`` and is left unchanged.
+        is not a store raises ``ValueError`` and is left unchanged; a
+        path whose directory does not exist raises ``ValueError`` too.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
@@ -82,6 +83,11 @@ class ResultCache:
         self._conn: Optional[sqlite3.Connection] = None  #: opened at first put
         if path and os.path.exists(path):
             self._load(path)
+        elif path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(
+                f"cannot create result cache {path!r}: directory "
+                f"{os.path.dirname(path)!r} does not exist"
+            )
 
     def _load(self, path: str) -> None:
         # a plain connection that only reads: the store's WAL setup would

@@ -32,7 +32,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.census import CensusResult, CensusRow, group_by_n
+from ..analysis.census import (
+    CensusResult,
+    CensusRow,
+    group_by_n,
+    group_by_n_span,
+)
 from ..core.classifier import classify
 from ..core.configuration import Configuration
 from ..core.election import elect_leader
@@ -54,19 +59,8 @@ from .queue import (
 )
 from .workloads import Workload, as_workload, workload_from_spec
 
-#: Default grouping, matching :func:`repro.analysis.census.census`.
+#: A census grouping: configuration -> row key.
 GroupBy = Callable[[Configuration], object]
-
-
-def group_by_n_span(config: Configuration) -> Tuple[int, int]:
-    """The default census grouping, ``(n, span)``, as a named function.
-
-    Distributed runs identify groupings by *name* (a worker process
-    cannot deserialize a lambda), so the default grouping needs a
-    stable definition site. See :data:`GROUPINGS`.
-    """
-    return (config.n, config.span)
-
 
 #: The closed set of named groupings a distributed census can ship
 #: through its queue.
@@ -299,7 +293,6 @@ def batch_records(
     *,
     measure_rounds: bool = False,
     keyer: Keyer = default_keyer,
-    precomputed_keys: Optional[Sequence[str]] = None,
     stats: Optional[EngineStats] = None,
     algorithm: str = "auto",
 ) -> List[Dict]:
@@ -323,17 +316,9 @@ def batch_records(
     ``deduped`` / ``classified`` counters are updated with this batch's
     accounting.
 
-    ``precomputed_keys`` skips normalization and keying for callers that
-    already paid for both (keying is the expensive step for canonical
-    keys): a sequence parallel to ``configs``, whose configurations must
-    then already be normalized. The batch classification service passes
-    them to :class:`BatchLookup` — requests are keyed once at submit
-    time, never again.
-
-    Miss classification picks its implementation the way
-    :func:`repro.analysis.census.census` does: the unique misses go
-    through the vectorized batch kernel in one lockstep call exactly
-    when :func:`repro.core.batch.resolve_batch_algorithm` resolves
+    The unique misses go through the vectorized batch kernel in one
+    lockstep call exactly when
+    :func:`repro.core.batch.resolve_batch_algorithm` resolves
     ``algorithm`` to ``"batch"`` (``"auto"`` with numpy importable);
     any other choice classifies them one :func:`census_record` at a
     time. All choices produce bit-for-bit identical records.
@@ -352,7 +337,6 @@ def batch_records(
             measure_rounds=measure_rounds,
             stats=stats,
             keyer=keyer,
-            precomputed_keys=precomputed_keys,
         )
         return lookup.complete(lookup.classify(algorithm))
 
@@ -561,7 +545,9 @@ def sharded_census(
         :class:`~repro.engine.workloads.SequenceWorkload`).
     group_by:
         aggregation key, applied to the *normalized* configuration;
-        defaults to ``(n, span)`` like the serial census.
+        defaults to ``(n, span)``
+        (:func:`~repro.analysis.census.group_by_n_span`), like the
+        serial census.
     measure_rounds:
         also run the dedicated election of every feasible
         configuration. Only such a census keys its configurations and

@@ -21,7 +21,7 @@ import random
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from ..core.configuration import Configuration
+from ..core.configuration import Configuration, config_from_spec, config_spec
 from ..graphs.generators import build, random_connected_gnp_edges
 from ..graphs.tags import uniform_random
 
@@ -129,7 +129,7 @@ class Workload:
 class RandomGnpWorkload(Workload):
     """Seeded random connected G(n, p) configurations with uniform tags.
 
-    The population of :func:`repro.analysis.census.random_census`:
+    The random census's population (``repro-radio census``):
     ``samples`` configurations per entry of ``n_values``, n-major. Item
     order and seeding match the engine-free generator
     :func:`repro.testing.random_census_configs` exactly, so an engine
@@ -252,39 +252,14 @@ class SequenceWorkload(Workload):
         return float(sum(c.n**3 for c in self.configs[start:stop]))
 
     def to_spec(self) -> Dict:
-        """``{"kind": "sequence", ...}`` — every member, fully labeled.
-
-        Node labels must be JSON scalars (ints or strings) so the
-        round-trip through a queue file reproduces the exact
-        configurations; richer labels raise ``TypeError``.
-        """
-        configs = []
-        for cfg in self.configs:
-            for v in cfg.nodes:
-                if not isinstance(v, (int, str)) or isinstance(v, bool):
-                    raise TypeError(
-                        f"node label {v!r} is not JSON-stable; distributed "
-                        "sequence workloads need int or str node names"
-                    )
-            configs.append(
-                {
-                    "tags": [[v, cfg.tag(v)] for v in cfg.nodes],
-                    "edges": [list(e) for e in cfg.edges],
-                }
-            )
-        return {"kind": "sequence", "label": self.label, "configs": configs}
-
-
-def _sequence_from_spec(spec: Dict) -> "SequenceWorkload":
-    """Rebuild a :class:`SequenceWorkload` from its spec dict."""
-    configs = [
-        Configuration(
-            edges=[tuple(e) for e in item["edges"]],
-            tags={v: t for v, t in item["tags"]},
-        )
-        for item in spec["configs"]
-    ]
-    return SequenceWorkload(configs, label=spec.get("label"))
+        """``{"kind": "sequence", ...}`` — every member as its
+        :func:`~repro.core.configuration.config_spec`, which refuses
+        node labels that are not JSON scalars (``TypeError``)."""
+        return {
+            "kind": "sequence",
+            "label": self.label,
+            "configs": [config_spec(cfg) for cfg in self.configs],
+        }
 
 
 #: The closed table of spec ``kind`` -> factory rebuilding the workload
@@ -296,7 +271,10 @@ WORKLOAD_KINDS: Dict[str, Callable[[Dict], Workload]] = {
     "enum": lambda spec: EnumerationWorkload(
         spec["n"], spec["max_tag"], labeled=spec.get("labeled", False)
     ),
-    "sequence": _sequence_from_spec,
+    "sequence": lambda spec: SequenceWorkload(
+        [config_from_spec(item) for item in spec["configs"]],
+        label=spec.get("label"),
+    ),
 }
 
 

@@ -70,9 +70,8 @@ def enable(
 def disable() -> Optional[Tracer]:
     """Turn tracing off; returns the closed tracer (for summaries).
 
-    The returned tracer's in-memory tree and event list stay readable —
-    ``classify --profile`` and ``trace summarize`` of a live run use
-    exactly this.
+    The returned tracer's event list stays readable; the ``--obs``
+    summary renders exactly this.
     """
     tracer, STATE.tracer = STATE.tracer, None
     STATE.enabled = False

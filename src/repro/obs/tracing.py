@@ -10,10 +10,11 @@ serving layer opens request spans on the event-loop thread where a
 ``threading.local`` stack would interleave concurrent connections.
 
 A :class:`Tracer` owns one *run*: a random run id, a monotonic clock
-zeroed at construction, a strictly increasing sequence number, an
-in-memory span tree for same-process summaries, and (optionally) an
+zeroed at construction, a strictly increasing sequence number, a capped
+in-memory event list for same-process summaries, and (optionally) an
 append-only JSONL event log following :mod:`repro.obs.events`'
-validated schema, written in batches of whole lines. Instrumented
+validated schema, written in batches of whole lines. It keeps no span
+objects: a closed span lives on only as its events. Instrumented
 call sites never touch these classes directly — they go through
 :mod:`repro.obs.runtime`, whose disabled fast path hands out the
 shared :data:`NOOP_SPAN` at the cost of a single attribute check.
@@ -58,8 +59,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "attrs", "span_id", "parent_id",
-        "start", "duration", "status", "error", "counters",
-        "children", "_token",
+        "start", "duration", "status", "error", "counters", "_token",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict) -> None:
@@ -73,7 +73,6 @@ class Span:
         self.status: Optional[str] = None
         self.error: Optional[str] = None
         self.counters: Dict[str, float] = {}
-        self.children: "List[Span]" = []
         self._token = None
 
     def add(self, counter: str, n: float = 1) -> None:
@@ -135,7 +134,7 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """One traced run: id, clock, span tree, and optional JSONL log.
+    """One traced run: id, clock, event list, and optional JSONL log.
 
     ``path=None`` keeps the run purely in memory (``classify
     --profile`` works this way). With a path, events are appended as
@@ -158,8 +157,6 @@ class Tracer:
         self.path = path
         self.t0 = time.perf_counter()
         self.max_events = max_events
-        self.spans: Dict[int, Span] = {}
-        self.roots: "List[Span]" = []
         self.events: "List[Dict]" = []
         self.dropped_events = 0
         self.span_count = 0
@@ -251,11 +248,6 @@ class Tracer:
             span.span_id = self._next_span_id
             self._next_span_id += 1
             self.span_count += 1
-            self.spans[span.span_id] = span
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                self.roots.append(span)
         extra: Dict = {"span": span.span_id, "parent": span.parent_id}
         if span.attrs:
             extra["attrs"] = span.attrs

@@ -206,8 +206,8 @@ def random_census_configs(
     n-major, seeded exactly as
     :class:`~repro.engine.workloads.RandomGnpWorkload` seeds them but
     written out independently of it, so ``census(random_census_configs(
-    ...), group_by=group_by_n)`` is the oracle for
-    :func:`repro.analysis.census.random_census`.
+    ...), group_by=group_by_n)`` is the oracle for an engine census
+    (:func:`repro.engine.sharded_census`) over that workload.
     """
     from .graphs.generators import build, random_connected_gnp_edges
     from .graphs.tags import uniform_random

@@ -6,7 +6,7 @@ tell — each instance's :class:`~repro.core.trace.ClassifierTrace` equals
 the serial classifiers' exactly (enforced here through the shared
 differential harness), errors surface per instance exactly as serial
 classification raises them, and every wired entry point (dispatcher,
-engine, census, service) produces identical results under
+engine, service) produces identical results under
 ``algorithm="batch"``/``"auto"`` and under the numpy-less fallback.
 """
 
@@ -226,15 +226,8 @@ def test_auto_falls_back_to_compiled_without_numpy(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# wired callers: engine, census, service
+# wired callers: engine, service
 # ----------------------------------------------------------------------
-def _freeze(result):
-    return {
-        k: (r.total, r.feasible, r.iterations_sum, r.rounds_sum)
-        for k, r in result.rows.items()
-    }
-
-
 def test_census_records_match_engine_records():
     from repro.engine.pipeline import census_record
 
@@ -258,18 +251,6 @@ def test_engine_batch_records_auto_equals_compiled(monkeypatch):
     # the numpy-less branch of "auto" must agree too
     monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
     fallback = batch_records(cfgs, ResultCache(), algorithm="auto")
-    assert fallback == serial
-
-
-def test_analysis_census_auto_equals_serial(monkeypatch):
-    from repro.analysis.census import census
-
-    cfgs = random_config_batch(50, base_seed=33)
-    auto = _freeze(census(cfgs, measure_rounds=True, batch_size=16))
-    serial = _freeze(census(cfgs, measure_rounds=True, algorithm="reference"))
-    assert auto == serial
-    monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    fallback = _freeze(census(cfgs, measure_rounds=True))
     assert fallback == serial
 
 

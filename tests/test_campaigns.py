@@ -23,7 +23,12 @@ from repro.campaigns import (
     serial_trial_loop,
     write_bundle,
 )
-from repro.engine import collect_queue, queue_worker
+from repro.engine import (
+    SequenceWorkload,
+    collect_queue,
+    create_census_queue,
+    queue_worker,
+)
 from repro.graphs.families import h_m
 
 MIXED = (
@@ -94,10 +99,15 @@ class TestConfigSpec:
             config_from_spec(json.loads(json.dumps(config_spec(cfg)))) == cfg
         )
 
-    def test_rejects_unstable_labels(self):
+    def test_rejects_unstable_labels(self, tmp_path):
         cfg = h_m(2).relabel({v: (v,) for v in h_m(2).nodes})
         with pytest.raises(TypeError):
             config_spec(cfg)
+        # a queued sequence workload stores its members the same way
+        queue = tmp_path / "q.sqlite"
+        with pytest.raises(TypeError):
+            create_census_queue(str(queue), SequenceWorkload([cfg]), num_shards=1)
+        assert not queue.exists()
 
 
 class TestRunners:

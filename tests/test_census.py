@@ -1,8 +1,15 @@
 """Unit tests for feasibility censuses."""
 
-from repro.analysis.census import CensusRow, census, random_census
+import os
+import subprocess
+import sys
+
+from repro.analysis.census import CensusRow, census, group_by_n
 from repro.core.configuration import Configuration, line_configuration
+from repro.engine import RandomGnpWorkload, sharded_census
 from repro.graphs.families import h_m, s_m
+
+from conftest import random_config_batch
 
 
 class TestCensus:
@@ -50,19 +57,68 @@ class TestCensusRow:
 
 
 class TestRandomCensus:
+    """The engine's random census, grouped by n (``repro-radio census``)."""
+
     def test_deterministic(self):
-        a = random_census([5, 6], span=2, p=0.4, samples=5, seed=3)
-        b = random_census([5, 6], span=2, p=0.4, samples=5, seed=3)
+        a, b = (
+            sharded_census(
+                RandomGnpWorkload([5, 6], span=2, p=0.4, samples=5, seed=3),
+                group_by=group_by_n,
+            ).result
+            for _ in range(2)
+        )
         assert a.total == b.total == 10  # 2 sizes x 5 samples
         assert [r.feasible for r in a.sorted_rows()] == [
             r.feasible for r in b.sorted_rows()
         ]
 
     def test_groups_by_n(self):
-        result = random_census([4, 7], span=1, p=0.5, samples=3, seed=1)
+        result = sharded_census(
+            RandomGnpWorkload([4, 7], span=1, p=0.5, samples=3, seed=1),
+            group_by=group_by_n,
+        ).result
         assert set(result.rows) == {4, 7}
 
     def test_span_zero_never_feasible_for_n_ge_2(self):
         # span 0 = simultaneous wakeup: infeasible for every n >= 2.
-        result = random_census([4, 6], span=0, p=0.5, samples=6, seed=9)
+        result = sharded_census(
+            RandomGnpWorkload([4, 6], span=0, p=0.5, samples=6, seed=9),
+            group_by=group_by_n,
+        ).result
         assert result.feasible == 0
+
+
+def _freeze(result):
+    return {
+        k: (r.total, r.feasible, r.iterations_sum, r.rounds_sum)
+        for k, r in result.rows.items()
+    }
+
+
+def test_analysis_census_auto_equals_serial():
+    cfgs = random_config_batch(50, base_seed=33)
+    auto = _freeze(census(cfgs, measure_rounds=True))
+    serial = _freeze(census(cfgs, measure_rounds=True, algorithm="reference"))
+    assert auto == serial
+
+
+def test_the_serial_census_loads_neither_the_engine_nor_the_kernel():
+    """The oracle must stay independent of the fast paths it checks."""
+    code = (
+        "import sys\n"
+        "from repro.analysis.census import census\n"
+        "from repro.graphs.families import h_m, s_m\n"
+        "census([h_m(1), h_m(2), s_m(1)], measure_rounds=True)\n"
+        "print(sorted(m for m in sys.modules if m == 'repro.core.batch'\n"
+        "             or m.startswith('repro.engine')))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,9 @@
 """Every way to run a census gives the same rows, down to the CLI table.
 
 A census runs three ways: the serial oracle
-(:func:`repro.analysis.census.census`), the in-process engine
-(:func:`repro.engine.sharded_census`, behind :func:`random_census` and
-the plain ``repro-radio census``), and the durable work queue
+(:func:`repro.analysis.census.census`, here with the paper's faithful
+Refine), the in-process engine (:func:`repro.engine.sharded_census`,
+behind the plain ``repro-radio census``), and the durable work queue
 (:func:`repro.engine.distributed_census`, behind ``census --queue``),
 which is also the only way to resume one. The HTTP service answers the
 same questions one batch at a time, so its ``elect`` reports must add
@@ -26,13 +26,12 @@ from repro.analysis.census import (
     CensusRow,
     census,
     group_by_n,
-    random_census,
-    random_census_workload,
 )
 from repro.cli import build_parser, main
 from repro.core.batch import HAVE_NUMPY
 from repro.core.classifier import ALGORITHM_NAMES
 from repro.engine import (
+    RandomGnpWorkload,
     ResultCache,
     WorkQueue,
     collect_queue,
@@ -124,7 +123,7 @@ def cli_opts(population):
 
 @pytest.fixture(scope="module")
 def workload(population):
-    return random_census_workload(*population)
+    return RandomGnpWorkload(*population)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +132,7 @@ def oracle(population):
         random_census_configs(*population),
         group_by=group_by_n,
         measure_rounds=True,
+        algorithm="reference",
     )
 
 
@@ -147,7 +147,6 @@ def test_every_census_path_gives_the_oracle_rows(
     kw = dict(group_by=group_by_n, measure_rounds=True)
     cache = ResultCache()
     runs = {
-        "random_census": random_census(*population, measure_rounds=True),
         "sharded x1": sharded_census(workload, cache=cache, **kw).result,
         "sharded x5": sharded_census(workload, num_shards=5, **kw).result,
     }

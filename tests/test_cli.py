@@ -151,8 +151,10 @@ class TestCensus:
     ids=["census", "census-queue", "serve"],
 )
 def test_a_file_that_is_not_a_result_store_is_refused(command, tmp_path):
-    """A JSONL cache of an earlier build is not a store: the command exits
-    with the message, leaves the file as it was and creates no queue."""
+    """A JSONL cache of an earlier build is not a store, and a store cannot
+    be created in a directory that does not exist: the command exits with
+    the message before any work, leaves the file as it was and creates no
+    queue."""
     cache = tmp_path / "old.jsonl"
     cache.write_text('{"key":"k","record":{"feasible":true}}\n')
     before = cache.read_bytes()
@@ -161,7 +163,29 @@ def test_a_file_that_is_not_a_result_store_is_refused(command, tmp_path):
     with pytest.raises(SystemExit, match="not a result cache"):
         main([*argv, "--cache", str(cache)])
     assert cache.read_bytes() == before
+    missing = tmp_path / "missing" / "c.sqlite"
+    with pytest.raises(SystemExit, match="does not exist"):
+        main([*argv, "--cache", str(missing)])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["census", "--n", "a"],
+        ["census", "--n", "a", "--queue", "{queue}"],
+        ["campaign", "run", "--n", "a"],
+    ],
+    ids=["census", "census-queue", "campaign-run"],
+)
+def test_a_bad_size_list_is_a_usage_error(command, tmp_path, capsys):
+    queue = tmp_path / "q.sqlite"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(queue=queue) for arg in command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--n: expected comma-separated integers" in err
+    assert not queue.exists()
 
 
 def test_a_closed_stdout_ends_the_command_without_a_traceback(tmp_path):

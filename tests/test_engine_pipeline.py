@@ -9,7 +9,7 @@ run a census, the work queue and its resume included.
 
 import pytest
 
-from repro.analysis.census import census, group_by_n, random_census
+from repro.analysis.census import census, group_by_n
 from repro.engine import (
     EnumerationWorkload,
     RandomGnpWorkload,
@@ -161,8 +161,9 @@ class TestEquality:
     def test_random_census_engine_default_equals_reference(self):
         kw = dict(span=2, p=0.3, samples=6, seed=4)
         reference = census(random_census_configs([5, 6], **kw), group_by=group_by_n)
-        engine = random_census([5, 6], **kw)
-        sharded = random_census([5, 6], num_shards=3, **kw)
+        workload = RandomGnpWorkload([5, 6], **kw)
+        engine = sharded_census(workload, group_by=group_by_n).result
+        sharded = sharded_census(workload, group_by=group_by_n, num_shards=3).result
         assert render(engine) == render(reference) == render(sharded)
 
 

@@ -64,8 +64,9 @@ def test_span_nesting_builds_a_tree():
         with obs.span("sibling"):
             pass
     obs.disable()
-    assert [r.name for r in tracer.roots] == ["outer"]
-    assert [c.name for c in outer.children] == ["inner", "sibling"]
+    root, = summarize_events(tracer.events).roots
+    assert root.name == "outer"
+    assert [c.name for c in root.children] == ["inner", "sibling"]
     assert inner.parent_id == outer.span_id
     assert inner.counters == {"items": 5}
     assert outer.status == inner.status == "ok"
@@ -79,7 +80,7 @@ def test_span_exception_capture_and_propagation():
             with obs.span("failing"):
                 raise ValueError("boom")
     obs.disable()
-    outer, = tracer.roots
+    outer, = summarize_events(tracer.events).roots
     failing, = outer.children
     assert failing.status == "error"
     assert failing.error == "ValueError: boom"
@@ -88,6 +89,26 @@ def test_span_exception_capture_and_propagation():
     ends = [e for e in tracer.events if e["kind"] == "span.end"]
     assert [e["status"] for e in ends] == ["error", "error"]
     assert ends[0]["error"] == "ValueError: boom"
+
+
+def test_closed_spans_leave_no_objects_behind():
+    """With the event list off, a tracer's memory does not grow with the
+    spans it has closed: each lives on only as its logged events."""
+    import tracemalloc
+
+    tracer = Tracer(max_events=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20_000):
+            with tracer.span("work"):
+                pass
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        tracer.close()
+    assert tracer.span_count == 20_000
+    assert grown < 1_000_000, grown
 
 
 def test_events_attach_to_the_enclosing_span():
