@@ -38,8 +38,7 @@ from ..core.classifier import classify
 from ..core.configuration import Configuration, config_from_spec
 from ..core.election import elect_leader
 from ..graphs.enumeration import enumerate_configurations
-from ..graphs.generators import build, random_connected_gnp_edges
-from ..graphs.tags import uniform_random
+from ..graphs.generators import build, random_gnp_configuration
 
 Edge = Tuple[int, int]
 
@@ -211,10 +210,7 @@ def feasibility_probability(
     for si, span in enumerate(spans):
         hits = 0
         for k in range(samples):
-            s = seed + 7919 * si + k
-            edges = random_connected_gnp_edges(n, p, s)
-            tags = uniform_random(range(n), span, s + 1)
-            cfg = build(edges, tags, n=n)
+            cfg = random_gnp_configuration(n, p, span, seed + 7919 * si + k)
             if cached_evaluate(cfg, cache, _feasible_record)["feasible"]:
                 hits += 1
         points.append(ProbabilityPoint(span=span, samples=samples, feasible=hits))

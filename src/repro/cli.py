@@ -153,7 +153,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     elapsed = sp.duration or 0.0
     if profile_enabled_obs:
         obs.disable()
-    print(trace.describe() if args.verbose else "", end="" if args.verbose else "")
+    if args.verbose:
+        print(trace.describe())
     print(
         kv_block(
             "Classifier",
@@ -381,19 +382,20 @@ def cmd_census(args: argparse.Namespace) -> int:
             args.workers = 1
         try:
             return _census_queue_mode(args)
-        except (QueueError, ValueError) as exc:  # ValueError: --cache refused
+        except (QueueError, ValueError) as exc:  # a bad parameter or --cache
             raise SystemExit(f"census: {exc}")
         except OSError as exc:
             raise SystemExit(f"census: queue I/O failed: {exc}")
     try:
+        workload = RandomGnpWorkload(
+            args.n, args.span, args.p, args.samples, args.seed
+        )
         cache = ResultCache(args.cache) if args.cache else ResultCache()
-    except ValueError as exc:  # not a result store, or no directory for one
+    except ValueError as exc:  # a bad parameter, or a cache that is not a store
         raise SystemExit(f"census: {exc}")
     try:
         run = sharded_census(
-            RandomGnpWorkload(
-                args.n, args.span, args.p, args.samples, args.seed
-            ),
+            workload,
             group_by=group_by_n,
             measure_rounds=args.rounds,
             num_shards=args.shards,
@@ -546,16 +548,12 @@ def cmd_variants(args: argparse.Namespace) -> int:
         census = exhaustive_cross_model_census(n, max_tag)
         title = f"Cross-model census: all connected configs n={n}, tags 0..{max_tag}"
     else:
-        from .graphs.generators import build, random_connected_gnp_edges
-        from .graphs.tags import uniform_random
+        from .engine.workloads import seeded_config
 
-        def configs():
-            for k in range(args.samples):
-                edges = random_connected_gnp_edges(args.n, args.p, args.seed + k)
-                tags = uniform_random(range(args.n), args.span, args.seed + k + 1)
-                yield build(edges, tags, n=args.n)
-
-        census = cross_model_census(configs())
+        census = cross_model_census(
+            seeded_config(args.seed + k, args.n, args.span, args.p)
+            for k in range(args.samples)
+        )
         title = (
             f"Cross-model census: {args.samples} random configs "
             f"n={args.n}, span={args.span}"

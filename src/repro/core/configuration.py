@@ -56,11 +56,7 @@ class Configuration:
             adj[v].add(u)
         if not adj:
             raise ConfigurationError("configuration must have at least one node")
-        for v, t in tags.items():
-            if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-                raise ConfigurationError(
-                    f"tag of node {v!r} must be a non-negative int, got {t!r}"
-                )
+        _check_tags(tags)
         self._nodes: Tuple[object, ...] = tuple(sorted(adj))
         self._adj: Dict[object, Tuple[object, ...]] = {
             v: tuple(sorted(nbrs)) for v, nbrs in adj.items()
@@ -68,6 +64,29 @@ class Configuration:
         self._tags: Dict[object, int] = dict(tags)
         self._hash = None
         self._check_connected()
+
+    @classmethod
+    def _from_adjacency(
+        cls, adj: Sequence[Iterable[int]], tags: Dict[int, int]
+    ) -> "Configuration":
+        """Trusted constructor for a generator that built the graph itself.
+
+        Node ``v`` of ``0..len(adj)-1`` has neighbours ``adj[v]``, and
+        ``tags`` maps the same nodes, in that order, to their tags; the
+        dict is kept, not copied. The caller guarantees the adjacency is
+        symmetric and free of self-loops. The edge-list parse of
+        ``__init__`` is skipped, but the tags and connectivity are still
+        checked, and the state built is the one ``__init__`` builds from
+        the same graph and tags.
+        """
+        _check_tags(tags)
+        self = cls.__new__(cls)
+        self._nodes = tuple(range(len(adj)))
+        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in enumerate(adj)}
+        self._tags = tags
+        self._hash = None
+        self._check_connected()
+        return self
 
     def _check_connected(self) -> None:
         start = self._nodes[0]
@@ -266,6 +285,14 @@ class Configuration:
             nbrs = ", ".join(map(str, self._adj[v]))
             lines.append(f"  node {v} (tag {self._tags[v]}): [{nbrs}]")
         return "\n".join(lines)
+
+
+def _check_tags(tags: Mapping[object, int]) -> None:
+    for v, t in tags.items():
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+            raise ConfigurationError(
+                f"tag of node {v!r} must be a non-negative int, got {t!r}"
+            )
 
 
 def line_configuration(tags: Sequence[int]) -> Configuration:

@@ -22,8 +22,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..core.configuration import Configuration, config_from_spec, config_spec
-from ..graphs.generators import build, random_connected_gnp_edges
-from ..graphs.tags import uniform_random
+from ..graphs.generators import random_gnp_configuration
 
 
 # ----------------------------------------------------------------------
@@ -31,9 +30,7 @@ from ..graphs.tags import uniform_random
 # ----------------------------------------------------------------------
 def seeded_config(seed: int, n: int, span: int, p: float = 0.3) -> Configuration:
     """One seeded random connected G(n, p) configuration with uniform tags."""
-    edges = random_connected_gnp_edges(n, p, seed)
-    tags = uniform_random(range(n), span, seed + 1)
-    return build(edges, tags, n=n)
+    return random_gnp_configuration(n, p, span, seed)
 
 
 def make_random_config(
@@ -43,9 +40,10 @@ def make_random_config(
     rng = random.Random(seed)
     n = rng.randint(n_lo, n_hi)
     span = rng.randint(0, span_hi)
-    edges = random_connected_gnp_edges(n, p, rng.randrange(2**31))
-    tags = uniform_random(range(n), span, rng.randrange(2**31))
-    return build(edges, tags, n=n)
+    graph_seed = rng.randrange(2**31)
+    return random_gnp_configuration(
+        n, p, span, graph_seed, tag_seed=rng.randrange(2**31)
+    )
 
 
 def random_config_batch(
@@ -146,6 +144,17 @@ class RandomGnpWorkload(Workload):
         seed: int,
     ) -> None:
         self.n_values = list(n_values)
+        # refuse here, once, what every item would otherwise refuse in turn
+        # (in a queue census, inside every worker, shard after shard)
+        for n in self.n_values:
+            if n < 1:
+                raise ValueError(f"every n must be >= 1, got {n}")
+        if span < 0:
+            raise ValueError("span must be >= 0")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        if samples < 0:
+            raise ValueError("samples must be >= 0")
         self.span = span
         self.p = p
         self.samples = samples
@@ -158,10 +167,9 @@ class RandomGnpWorkload(Workload):
     def _item(self, index: int) -> Configuration:
         n = self.n_values[index // self.samples]
         s = index % self.samples
-        base = self.seed + 7919 * s + 104729 * n
-        edges = random_connected_gnp_edges(n, self.p, base)
-        tags = uniform_random(range(n), self.span, base + 1)
-        return build(edges, tags, n=n)
+        return random_gnp_configuration(
+            n, self.p, self.span, self.seed + 7919 * s + 104729 * n
+        )
 
     def generate(self, start: int, stop: int) -> Iterator[Configuration]:
         """Regenerate items ``start .. stop-1`` from their seeds."""

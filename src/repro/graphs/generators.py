@@ -8,10 +8,12 @@ seeded — experiments must be reproducible run to run.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration
+from .tags import uniform_random
 
 Edge = Tuple[int, int]
 
@@ -88,8 +90,6 @@ def random_tree_edges(n: int, seed: int) -> List[Edge]:
     for v in prufer:
         degree[v] += 1
     edges: List[Edge] = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in prufer:
@@ -112,15 +112,31 @@ def random_connected_gnp_edges(n: int, p: float, seed: int) -> List[Edge]:
     small ``p``; the tree-plus-noise construction is the standard
     benchmark-workload substitute and keeps edge density ~``p``.)
     """
+    adj = _gnp_adjacency(n, p, seed)
+    return [(i, j) for i in range(n) for j in sorted(adj[i]) if i < j]
+
+
+def _gnp_adjacency(n: int, p: float, seed: int) -> List[Set[int]]:
+    """The adjacency sets of :func:`random_connected_gnp_edges`' graph.
+
+    One ``Random(seed)`` draws the Prüfer tree's seed, then one coin per
+    pair ``i < j`` in row-major order that the tree did not already join.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = random.Random(seed)
-    edges = set(map(_norm, random_tree_edges(n, rng.randrange(2**31))))
+    adj: List[Set[int]] = [set() for _ in range(n)]
+    for u, v in random_tree_edges(n, rng.randrange(2**31)):
+        adj[u].add(v)
+        adj[v].add(u)
+    coin = rng.random
     for i in range(n):
+        row = adj[i]
         for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < p:
-                edges.add((i, j))
-    return sorted(edges)
+            if j not in row and coin() < p:
+                row.add(j)
+                adj[j].add(i)
+    return adj
 
 
 def hypercube_edges(dim: int) -> List[Edge]:
@@ -301,6 +317,22 @@ def build(
     if tags is None:
         tags = {v: 0 for v in range(n)}
     return Configuration(edges, dict(tags))
+
+
+def random_gnp_configuration(
+    n: int, p: float, span: int, seed: int, tag_seed: Optional[int] = None
+) -> Configuration:
+    """One seeded connected G(n, p) configuration with uniform tags.
+
+    Bit for bit the configuration ``build(random_connected_gnp_edges(n,
+    p, seed), uniform_random(range(n), span, tag_seed), n=n)``, where
+    ``tag_seed`` defaults to ``seed + 1``: the same random streams, drawn
+    straight into adjacency sets that the configuration takes as they
+    are, without a sorted edge list to re-parse.
+    """
+    adj = _gnp_adjacency(n, p, seed)
+    tags = uniform_random(range(n), span, seed + 1 if tag_seed is None else tag_seed)
+    return Configuration._from_adjacency(adj, tags)
 
 
 def path_configuration(tags: Sequence[int]) -> Configuration:

@@ -21,6 +21,12 @@ class TestClassify:
         main(["classify", "--line", "0,1", "-v"])
         assert "partition_1" in capsys.readouterr().out
 
+    def test_verbose_trace_ends_on_its_own_line(self, capsys):
+        assert main(["classify", "--gnp", "12,0.3,2,7", "-v"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        block = lines.index("Classifier")
+        assert lines[block - 1] == "  leader: node 0 (class 1)"
+
     def test_gnp(self, capsys):
         assert main(["classify", "--gnp", "8,0.3,2,5"]) == 0
         out = capsys.readouterr().out
@@ -167,6 +173,28 @@ def test_a_file_that_is_not_a_result_store_is_refused(command, tmp_path):
     with pytest.raises(SystemExit, match="does not exist"):
         main([*argv, "--cache", str(missing)])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+
+@pytest.mark.parametrize("queue", [False, True], ids=["in-process", "queue"])
+@pytest.mark.parametrize(
+    "bad",
+    [("--n", "0"), ("--span", "-1"), ("--p", "1.5"), ("--samples", "-1")],
+    ids=["n", "span", "p", "samples"],
+)
+def test_a_bad_census_parameter_is_refused_before_any_work(bad, queue, tmp_path):
+    # the bad value comes last, so it overrides the good one
+    argv = [
+        "census", "--n", "5", "--samples", "4", "--rounds",
+        "--cache", str(tmp_path / "c.sqlite"), *bad,
+    ]
+    if queue:
+        argv += ["--queue", str(tmp_path / "q.sqlite"), "--workers", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("census: ")
+    assert "\n" not in message
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,22 @@ class TestWorkloads:
         engine = sharded_census(workload, group_by=lambda c: c.n, num_shards=4)
         assert engine.result.rows == direct.rows
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"n_values": [5, 0]}, "every n must be >= 1, got 0"),
+            ({"span": -1}, "span must be >= 0"),
+            ({"p": 1.5}, r"p must be in \[0, 1\]"),
+            ({"p": -0.1}, r"p must be in \[0, 1\]"),
+            ({"samples": -1}, "samples must be >= 0"),
+        ],
+        ids=["n", "span", "p-high", "p-low", "samples"],
+    )
+    def test_random_workload_refuses_bad_parameters(self, kw, message):
+        args = {"n_values": [5], "span": 2, "p": 0.3, "samples": 4, "seed": 1}
+        with pytest.raises(ValueError, match=message):
+            RandomGnpWorkload(**{**args, **kw})
+
     def test_enumeration_workload_slices(self):
         w = EnumerationWorkload(3, 1)
         assert list(w.generate(2, 5)) == list(w)[2:5]
